@@ -27,11 +27,10 @@
                                             (default 0.5, i.e. +50%)
 
    Every mode accepts a trailing [--jobs N] (default 1; sweep defaults
-   to 4): experiment samples are then farmed out to Simkit.Exec — a
-   pool of N domains on OCaml 5, N forked worker processes otherwise.
-   When --jobs is absent, STELLAR_CUP_JOBS supplies the default (the
-   same precedence as every CLI --jobs flag). The tables are
-   byte-identical for every N and on either backend.
+   to 4): experiment samples are then farmed out to Simkit.Exec's pool
+   of N domains. When --jobs is absent, STELLAR_CUP_JOBS supplies the
+   default (the same precedence as every CLI --jobs flag). The tables
+   are byte-identical for every N.
 
    One experiment table per paper artifact (figures, algorithms,
    theorems — see DESIGN.md §5), plus Bechamel microbenches for the hot
@@ -1021,10 +1020,6 @@ let run_sweep ~jobs =
   out "  \"schema\": \"stellar-cup/bench-sweep/v1\",\n";
   out "  \"git_sha\": \"%s\",\n" (json_escape (git_sha ()));
   out "  \"jobs\": %d,\n" jobs;
-  (* [n = 2] stands for "any parallel-sized input": the backend choice
-     only depends on whether jobs and n both exceed 1. *)
-  out "  \"backend\": \"%s\",\n"
-    (json_escape (Simkit.Exec.backend_name (Simkit.Exec.backend ~jobs 2)));
   out "  \"unit\": \"seconds_wall_clock\",\n";
   out "  \"experiments\": [\n";
   List.iteri

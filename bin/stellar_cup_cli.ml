@@ -82,10 +82,9 @@ let jobs_term =
     & opt int 1
     & info [ "jobs" ] ~docv:"N" ~env:jobs_env
         ~doc:"Workers for independent sub-runs (experiment samples, \
-              --samples sweeps, FBAS search shards): domains on OCaml 5, \
-              forked processes otherwise, parked in a persistent pool \
-              between batches. Output is byte-identical to --jobs 1; \
-              parallelism only buys wall-clock.")
+              --samples sweeps, FBAS search shards): domains parked in a \
+              persistent pool between batches. Output is byte-identical \
+              to --jobs 1; parallelism only buys wall-clock.")
 
 (* ---- observability plumbing ------------------------------------------- *)
 

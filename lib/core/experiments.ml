@@ -15,7 +15,7 @@ let own_value i = Scp.Value.of_ints [ i ]
    list, so workers stay busy across row boundaries — and hands each
    param its sample results back in order. The reduce is sequential and
    ordered, so the rendered tables are byte-identical for every [jobs]
-   value and on every executor backend. *)
+   value. *)
 let sampled ~jobs params ~samples job =
   let grid =
     List.concat_map (fun p -> List.init samples (fun k -> (p, k))) params

@@ -122,14 +122,11 @@ let sweep ?(jobs = 1) ?(cfg = Simkit.Run_config.default) ~stack ~graph ~f
      per-process {!Graphkit.Csr} memo: the graph is compiled and
      condensed once, not once per run. Domain workers share the parent's
      heap and hit the memo directly (Exec arms the cache's mutex before
-     spawning); fork workers inherit a memo the parent has already
-     warmed for free. *)
-  (* Observability sinks are per-run mutable state; a sweep's fork
-     workers each live in their own process (sinks attached to the
-     parent's config would silently collect nothing), and domain
-     workers would interleave into them nondeterministically. Strip
-     them up front — the sweep is a measurement harness, the single-run
-     entry points remain the observability path. *)
+     spawning). *)
+  (* Observability sinks are per-run mutable state that domain workers
+     would interleave into nondeterministically. Strip them up front —
+     the sweep is a measurement harness, the single-run entry points
+     remain the observability path. *)
   let base =
     { cfg with Simkit.Run_config.metrics = None; trace = None }
   in

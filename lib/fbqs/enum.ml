@@ -170,10 +170,9 @@ let canonical sets =
    afterwards, so output and stats are byte-identical to the
    sequential run at every [jobs] count. Shards are dense-set/int
    data and the job closures capture only the compiled system (bitset
-   arrays and slice maps — plain data), so they survive the fork
-   backend's closure [Marshal] unchanged; the compiled handle's own
-   query tallies are the only shared mutable state jobs touch, and
-   nothing downstream reads them. *)
+   arrays and slice maps); the compiled handle's own query tallies
+   are the only shared mutable state jobs touch, and nothing
+   downstream reads them. *)
 
 let default_frontier_depth = 5
 

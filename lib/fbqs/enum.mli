@@ -30,7 +30,7 @@
     pool. The canonical ordering makes the merged output independent
     of the partition and per-subtree tick deltas are summed back into
     the analyzer, so results, [stats] and driven metrics are
-    byte-identical at every [jobs] count, on both executor backends.
+    byte-identical at every [jobs] count.
     See DESIGN.md §18.
 
     Systems naming negative pids fall back to the brute-force

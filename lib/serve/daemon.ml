@@ -364,10 +364,9 @@ let serve_unix ?(max_clients = default_max_clients) t ~path =
   Unix.bind sock (Unix.ADDR_UNIX path);
   Unix.listen sock max_clients;
   (* Each accepted connection is handed to a detached executor task
-     (a domain of its own on OCaml 5; run inline on 4.14, which
-     degrades to the historical one-client-at-a-time loop). Requests
-     from one connection are answered in order on that connection;
-     concurrent connections share the caches and the worker pool. *)
+     (a domain of its own). Requests from one connection are answered
+     in order on that connection; concurrent connections share the
+     caches and the worker pool. *)
   let tasks = ref [] in
   let reap ~wait =
     tasks :=

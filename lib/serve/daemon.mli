@@ -58,9 +58,7 @@ val serve_unix : ?max_clients:int -> t -> path:string -> unit
     is replaced), serving up to [max_clients] (default 4) connections
     concurrently — each on a detached {!Simkit.Exec} task — until a
     client sends [shutdown]. Per-connection request order is
-    preserved; connections beyond the cap wait for a free slot. On
-    runtimes without concurrent tasks ({!Simkit.Exec.concurrent_tasks}
-    false) clients are served one at a time in accept order. After
+    preserved; connections beyond the cap wait for a free slot. After
     [shutdown], the listener stops accepting, already-connected
     clients are drained (they stop at their next request or EOF), and
     the socket file is removed. *)

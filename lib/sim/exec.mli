@@ -1,103 +1,59 @@
 (** The parallel map executor behind every [--jobs] flag.
 
-    Two backends, one contract. On OCaml 5 a {b domain pool} spawns
-    [jobs] domains that pull chunks of job indices from a
-    mutex-protected counter and write results straight into a
-    preallocated slot array — shared heap, zero serialization. On 4.14
-    (or wherever domains are unavailable) the {b fork pool} of
-    {!Pool.map_chunked} takes over: the same chunked dynamic dispatch,
-    with results marshalled up a pipe per chunk. The backend is picked
-    at build time by a dune rule (see [lib/sim/dune]): [exec_domains.ml]
-    is either the real domain pool or a stub that reports itself
-    unavailable.
+    A {b domain pool}: [jobs] workers (the caller plus parked domains)
+    pull chunks of job indices from a mutex-protected counter and
+    write results straight into a preallocated slot array — shared
+    heap, zero serialization. The domains themselves live in
+    [exec_domains.ml].
 
-    The contract, identical at every [jobs] count and on both
-    backends: [map ~jobs f xs = List.map f xs], byte for byte.
-    Jobs must be independent pure-ish functions (each experiment
-    sample builds its own engine, metrics registry and trace buffer);
-    the executor adds parallelism as a pure wall-clock optimisation,
-    never a semantic knob. Determinism of the error path: if jobs
-    fail, the exception text of the {e minimum-index} failing job is
-    the one re-raised, on both backends (chunk claiming is monotonic,
-    so that job was always attempted).
+    The contract, identical at every [jobs] count:
+    [map ~jobs f xs = List.map f xs], byte for byte. Jobs must be
+    independent pure-ish functions (each experiment sample builds its
+    own engine, metrics registry and trace buffer); the executor adds
+    parallelism as a pure wall-clock optimisation, never a semantic
+    knob. Determinism of the error path: if jobs fail, the exception
+    text of the {e minimum-index} failing job is the one re-raised
+    (chunk claiming is monotonic, so that job was always attempted).
 
     Shared state: the {!Core.Cache} handle memos (compiled quorum
     systems, CSR graphs) are reachable from jobs. Their values are
     pure functions of their keys and their internal lazy fields are
     written idempotently, so races stay output-deterministic; the
     executor additionally arms {!Core.Cache.set_protector} with the
-    backend's lock before the first domain spawn so the cache's
-    bookkeeping moves atomically. That lock lives in the
-    version-switched backend (identity on 4.14, where [Mutex] is not
-    even in the stdlib) — parallelism primitives stay behind this
-    seam (enforced by stellar-lint rule D6). *)
+    pool's lock before the first domain spawn so the cache's
+    bookkeeping moves atomically. Parallelism primitives stay behind
+    this seam (enforced by stellar-lint rule D6). *)
 
 exception Job_failed of string
-(** The same exception as {!Pool.Job_failed} (rebound, so either name
-    catches it): a job raised (payload: exception text plus backtrace),
-    or a fork worker died before reporting. Raised only after every
-    worker has been joined/reaped. *)
+(** A job raised (payload: exception text plus backtrace). Raised only
+    after every worker has drained back to the pool. *)
 
-type backend = Domains | Fork | Sequential
-
-val domains_available : bool
-(** Whether this binary was built with the domain backend (OCaml 5). *)
-
-val fork_available : bool
-(** Whether [Unix.fork] exists on this platform. *)
-
-val backend : jobs:int -> int -> backend
-(** [backend ~jobs n] — the backend {!map} would pick for [n] jobs:
-    [Sequential] when [jobs <= 1] or [n <= 1], else domains when
-    available, else fork, else sequential. Exposed so callers (CLI,
-    bench) can report the execution mode. *)
-
-val backend_name : backend -> string
-(** ["domains"], ["fork"] or ["sequential"]. *)
-
-val run_in_parallel : jobs:int -> int -> bool
-(** Whether {!map} would actually run workers (i.e. {!backend} is not
-    [Sequential]). Drop-in for {!Pool.run_in_parallel}. *)
-
-val map :
-  ?backend:backend -> ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] evaluates [f] on every element of [xs] with up to
     [jobs] workers and returns the results in input order —
     byte-identical to [List.map f xs].
 
-    [?backend] forces a specific backend (tests use it to exercise the
-    fork path on OCaml 5); [jobs <= 1] and singleton/empty inputs run
-    sequentially regardless. [?chunk] overrides the dispatch chunk
-    size (results are invariant under it; it only moves the
-    throughput/balance trade-off).
+    [jobs <= 1] and singleton/empty inputs run sequentially. [?chunk]
+    overrides the dispatch chunk size (results are invariant under it;
+    it only moves the throughput/balance trade-off). Inputs, [f] and
+    results are never serialized.
 
-    On the fork backend results travel by [Marshal], so ['b] must be
-    marshal-safe plain data there; the domain backend has no such
-    restriction (results never leave the heap). Inputs and [f] are
-    never serialized on the domain backend; the warm fork pool ships
-    the job by closure [Marshal] when it can, silently reverting to a
-    per-call fork (plain inheritance) when the captures are not
-    marshal-safe — results are byte-identical either way.
-
-    Both backends keep their workers alive between calls (see
-    {!Pool}): the first parallel [map] pays the spawn cost, later ones
-    only dispatch.
+    The workers stay alive between calls (see {!Pool}): the first
+    parallel [map] pays the spawn cost, later ones only dispatch.
 
     @raise Job_failed if any job raises (minimum-index failure wins),
-    after all workers are collected.
-    @raise Invalid_argument if a forced backend is unavailable. *)
+    after all workers are collected. *)
 
 (** {1 The persistent worker pool} *)
 
-(** Lifecycle and occupancy of the process-wide worker pool behind
-    {!map} — parked domains on OCaml 5, parked fork workers on 4.14
-    (whichever backend is live; the other side reports zero). *)
+(** Lifecycle and occupancy of the process-wide domain pool behind
+    {!map}. *)
 module Pool : sig
   val shutdown : unit -> unit
-  (** Tears the live pool down (joins domains / EOFs+reaps fork
-      workers). Idempotent; the next parallel {!map} respawns lazily.
-      Registered [at_exit] on first spawn, so explicit calls are only
-      needed to reclaim workers mid-process. *)
+  (** Tears the live pool down (joins the parked domains). Idempotent;
+      the next parallel {!map} respawns lazily. Registered [at_exit] on
+      first spawn, so explicit calls are only needed to reclaim
+      workers mid-process. *)
 
   val size : unit -> int
   (** Workers currently parked (the submitting caller is not one). *)
@@ -125,19 +81,12 @@ val protect : (unit -> 'a) -> 'a
 (** Runs the thunk inside the executor's global critical section (the
     same lock {!Core.Cache} is armed with). The only sanctioned
     mutual-exclusion seam outside [lib/sim] (stellar-lint D6): the
-    daemon guards its connection counters with it. Identity on 4.14,
-    where nothing runs concurrently. *)
+    daemon guards its connection counters with it. *)
 
 type task
 (** A detached unit of work — the daemon's per-client connection
-    handlers. On OCaml 5 it runs on its own domain (not a pool seat:
-    these are IO-bound); on 4.14 {!spawn_task} runs it inline before
-    returning, so call sites degrade to sequential behaviour with no
-    further casing. *)
+    handlers. It runs on its own domain (not a pool seat: these are
+    IO-bound). *)
 
 val spawn_task : (unit -> unit) -> task
 val join_task : task -> unit
-
-val concurrent_tasks : bool
-(** Whether {!spawn_task} actually runs tasks concurrently
-    ([domains_available]). *)

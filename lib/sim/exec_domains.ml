@@ -1,31 +1,22 @@
-(* Domain-pool backend for {!Exec} — the OCaml 5 side of the dune
-   version switch. A rule in [lib/sim/dune] copies this file to
-   [exec_domains.ml] when the compiler has domains; on 4.14 the
-   identically-signed [exec_domains_stub.ml] takes its place, so
-   {!Exec} never mentions [Domain] directly and compiles unchanged on
-   both generations.
+(* Domain-pool backend for {!Exec}. {!Exec} never mentions [Domain]
+   or [Mutex] directly: parallelism primitives stay in this module
+   (stellar-lint rule D6).
 
    The protocol is deliberately untyped-but-narrow: the caller hands us
    a [do_job : int -> unit] closure (which reads its input and writes
    its result into caller-owned slot arrays — no serialization, no
    result transport) plus the job count, and we hand back the failures.
-   Keeping ['a]/['b] out of this interface keeps the stub trivial.
 
-   Since the persistent-pool rewrite the domains are spawned {e once
-   per process} (lazily, on the first batch that wants them) and parked
-   on a condition variable between batches instead of being spawned and
-   joined per call: a batch submission publishes a [batch] record,
-   broadcasts the parked workers awake, runs the caller as one of the
-   workers, and waits for the joiners to drain the chunk counter. The
-   spawn cost is paid once; a warm [map] is pure dispatch. *)
-
-let available = true
+   The domains are spawned {e once per process} (lazily, on the first
+   batch that wants them) and parked on a condition variable between
+   batches instead of being spawned and joined per call: a batch
+   submission publishes a [batch] record, broadcasts the parked workers
+   awake, runs the caller as one of the workers, and waits for the
+   joiners to drain the chunk counter. The spawn cost is paid once; a
+   warm [map] is pure dispatch. *)
 
 (* The backend's global lock, used by {!Exec} to serialize Core.Cache
-   bookkeeping across domains. Lives here (not in exec.ml) because
-   [Mutex] is stdlib on OCaml 5 but a separate threads library on
-   4.14 — the stub's [locked] is the identity, so exec.ml never names
-   Mutex and compiles on both generations. *)
+   bookkeeping across domains. *)
 let lock = Mutex.create ()
 
 let locked f =
@@ -167,11 +158,11 @@ let shutdown () =
   Mutex.lock submit_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock submit_lock) shutdown_locked
 
-(* Called under [submit_lock]. Spawn cap as before the persistent
-   rewrite: domains are not cheap threads — every minor collection is
-   a stop-the-world rendezvous of all of them, so running more than
-   the hardware can schedule turns the GC barrier into a spin-storm
-   (measured 3-5x slower than sequential on a 1-core container). *)
+(* Called under [submit_lock]. Domains are not cheap threads: every
+   minor collection is a stop-the-world rendezvous of all of them, so
+   running more than the hardware can schedule turns the GC barrier
+   into a spin-storm (measured 3-5x slower than sequential on a 1-core
+   container). Hence the cap. *)
 let ensure_workers wanted =
   let cap = max 0 (Domain.recommended_domain_count () - 1) in
   let wanted = min wanted cap in

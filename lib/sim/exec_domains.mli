@@ -1,22 +1,13 @@
-(** Domain-pool backend for {!Exec} (OCaml 5 variant).
-
-    Copied to [exec_domains.mli] by a dune rule when the compiler
-    supports domains; see [exec_domains_stub.mli] for the 4.14 side.
-    Both variants expose exactly this signature.
+(** Domain-pool backend for {!Exec}.
 
     The pool is {e persistent}: domains are spawned once per process
     (lazily, on the first batch that wants them, capped at
     [Domain.recommended_domain_count () - 1] helpers) and parked on a
     condition variable between batches. *)
 
-val available : bool
-(** Whether this runtime can actually spawn domains ([true] here;
-    [false] in the stub). *)
-
 val locked : (unit -> 'a) -> 'a
 (** Runs the thunk inside the backend's global lock — the critical
-    section {!Exec} arms {!Core.Cache} with. The stub's version is the
-    identity: without domains there is nothing to race. *)
+    section {!Exec} arms {!Core.Cache} with. *)
 
 val map_chunked :
   chunk:int -> domains:int -> (int -> unit) -> int -> (int * string) list
@@ -52,8 +43,7 @@ type task
     uncapped. *)
 
 val detach : (unit -> unit) -> task
-(** Starts [f] on a fresh domain (the stub runs it inline before
-    returning, degrading gracefully to sequential behaviour). *)
+(** Starts [f] on a fresh domain. *)
 
 val join_task : task -> unit
 (** Blocks until the task's thunk has returned. *)

@@ -7,11 +7,6 @@ open Parsetree
 let in_bench rel = String.starts_with ~prefix:"bench/" rel
 let in_obs rel = String.starts_with ~prefix:"lib/obs/" rel
 
-(* The executor library (Simkit.Exec and its Simkit.Pool fork backend)
-   is the one sanctioned Marshal user (worker IPC). *)
-let marshal_home rel =
-  String.equal rel "lib/sim/pool.ml" || String.equal rel "lib/sim/exec.ml"
-
 (* Shared-memory parallelism primitives (domain spawning, locks) stay
    behind the Simkit.Exec seam: everything under lib/sim/ may use
    them, nothing else may. *)
@@ -200,13 +195,12 @@ let run_expr_rules ~rel structure =
                     (thread the seed through Run_config instead)"
                    (String.concat "." comps));
             (match marshal_or_obj comps with
-            | Some `Marshal when not (marshal_home rel) ->
+            | Some `Marshal ->
                 add e.pexp_loc "D4"
-                  "Marshal is confined to the executor library (Simkit.Exec / \
-                   Simkit.Pool)"
+                  "Marshal is banned (results never leave the shared heap)"
             | Some `Obj ->
                 add e.pexp_loc "D4" "Obj.* breaks abstraction and is banned"
-            | Some `Marshal | None -> ());
+            | None -> ());
             if parallelism_path comps && not (exec_home rel) then
               add e.pexp_loc "D6"
                 (Printf.sprintf

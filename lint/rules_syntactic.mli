@@ -16,8 +16,7 @@
       argument's head only. Superseded by the typed rule T1
       ({!Rules_typed}) whenever a [--cmt] phase runs; kept as the
       fallback for syntactic-only runs.
-    - D4 — [Marshal] outside the executor library ([lib/sim/pool.ml]
-      and [lib/sim/exec.ml]), and [Obj.*] anywhere.
+    - D4 — [Marshal] and [Obj.*] anywhere.
     - D5 — float [Printf]/[Format] conversions inside [lib/obs] render
       paths; JSON floats must go through the [Obs.Json] encoder.
     - D6 — shared-memory parallelism primitives ([Domain.spawn],

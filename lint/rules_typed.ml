@@ -1,11 +1,10 @@
 (* Typedtree rule families (the --cmt phase).
 
    R1 — parallel capture safety, closure form: a literal closure in
-   the job position of Simkit.Exec.map / Simkit.Pool.map /
-   Simkit.Pool.map_chunked must not capture a variable of mutable
-   type (ref, Hashtbl.t, Buffer.t, Bytes.t, arrays, queues/stacks,
-   records with mutable fields — through type aliases) defined
-   outside the closure. Core.Cache.t captures are exempt: the
+   the job position of Simkit.Exec.map must not capture a variable of
+   mutable type (ref, Hashtbl.t, Buffer.t, Bytes.t, arrays,
+   queues/stacks, records with mutable fields — through type aliases)
+   defined outside the closure. Core.Cache.t captures are exempt: the
    executor arms the cache's critical-section protector before its
    first spawn, so cache traffic is the sanctioned way to share
    state across job boundaries.
@@ -32,12 +31,7 @@
    existing [allow D3] keeps waiving the site. *)
 
 let exec_entry comps =
-  match comps with
-  | [ "Simkit"; "Exec"; "map" ]
-  | [ "Simkit"; "Pool"; "map" ]
-  | [ "Simkit"; "Pool"; "map_chunked" ] ->
-      true
-  | _ -> false
+  match comps with [ "Simkit"; "Exec"; "map" ] -> true | _ -> false
 
 let entropy_seed comps =
   match comps with

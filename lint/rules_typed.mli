@@ -1,8 +1,7 @@
 (** Phase 2: Typedtree rule families, run over the units loaded by
     {!Loader} from a [--cmt] directory.
 
-    - R1 — a literal closure in the job position of
-      [Simkit.Exec.map] / [Simkit.Pool.map] / [Simkit.Pool.map_chunked]
+    - R1 — a literal closure in the job position of [Simkit.Exec.map]
       captures a variable of mutable type (ref, [Hashtbl.t],
       [Buffer.t], [Bytes.t], arrays, queues/stacks, records with
       mutable fields — resolved through aliases) defined outside the

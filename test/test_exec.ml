@@ -1,10 +1,10 @@
-(* Simkit.Exec carries the same contract as Simkit.Pool — "byte-identical
-   to the sequential run, just faster" — across two backends (domain
-   pool on OCaml 5, fork pool otherwise). These tests exercise the
-   dispatch edges, crash propagation through whichever backend is
-   live, the minimum-index error determinism, chunking invariance, and
-   the forced-backend escape hatch; the experiment byte-identity cases
-   extend test_pool's jobs=4 coverage to jobs=2 and jobs=8. *)
+(* The executor's whole contract is "byte-identical to the sequential
+   run, just faster": ordering, crash propagation and the jobs=1
+   degenerate case are the things that can silently break it. These
+   tests exercise the dispatch edges, crash propagation, the
+   minimum-index error determinism, chunking invariance, and the
+   experiment tables' byte identity at jobs 2 and 8 (jobs 4 runs on a
+   warm pool in test_exec_pool.ml). *)
 
 let int_list = Alcotest.(list int)
 
@@ -38,33 +38,12 @@ let test_order_preserved_more_jobs_than_items () =
     (Simkit.Exec.map ~jobs:16 (fun s -> s ^ "!") xs)
 
 let test_closure_capture () =
-  (* Domain workers share the heap; fork workers inherit it. Either
-     way, capturing a non-marshal-safe value must work. *)
+  (* Domain workers share the heap, so capturing a non-marshal-safe
+     value (a mutable ref read through a closure) must work. *)
   let shift = ref 7 in
   let adder x = x + !shift in
   Alcotest.check int_list "captured state visible in workers" [ 8; 9; 10 ]
     (Simkit.Exec.map ~jobs:2 adder [ 1; 2; 3 ])
-
-let test_backend_dispatch () =
-  let name n = Simkit.Exec.backend_name n in
-  Alcotest.(check string)
-    "jobs=1 is sequential" "sequential"
-    (name (Simkit.Exec.backend ~jobs:1 100));
-  Alcotest.(check string)
-    "singleton input is sequential" "sequential"
-    (name (Simkit.Exec.backend ~jobs:8 1));
-  let expected =
-    if Simkit.Exec.domains_available then "domains"
-    else if Simkit.Exec.fork_available then "fork"
-    else "sequential"
-  in
-  Alcotest.(check string)
-    "parallel-sized input picks the best available backend" expected
-    (name (Simkit.Exec.backend ~jobs:4 100));
-  Alcotest.(check bool)
-    "run_in_parallel agrees with backend"
-    (expected <> "sequential")
-    (Simkit.Exec.run_in_parallel ~jobs:4 100)
 
 let test_crash_propagates () =
   let raised =
@@ -82,23 +61,9 @@ let test_crash_propagates () =
   in
   Alcotest.(check bool) "Job_failed raised" true raised
 
-let test_pool_exception_compatible () =
-  (* Exec.Job_failed is Pool.Job_failed rebound: handlers written
-     against either name keep working. *)
-  let caught =
-    try
-      ignore
-        (Simkit.Exec.map ~jobs:2
-           (fun x -> if x > 0 then failwith "pop" else x)
-           [ 0; 1; 2; 3 ]);
-      false
-    with Simkit.Pool.Job_failed _ -> true
-  in
-  Alcotest.(check bool) "catchable as Pool.Job_failed" true caught
-
 let test_min_index_failure () =
   (* Two failing jobs: whatever the worker interleaving, the exception
-     that surfaces is the minimum-index one — on both backends. *)
+     that surfaces is the minimum-index one. *)
   List.iter
     (fun jobs ->
       let raised =
@@ -121,46 +86,6 @@ let test_min_index_failure () =
       Alcotest.(check bool) "Job_failed raised" true raised)
     [ 2; 4 ]
 
-(* The forced-backend escape hatch: each backend honours the full
-   contract when forced, and forcing a missing one is a loud error —
-   so the 4.14 leg tests fork, the 5.x leg tests both. *)
-let forced_backend_contract backend name () =
-  let available =
-    match backend with
-    | Simkit.Exec.Domains -> Simkit.Exec.domains_available
-    | Simkit.Exec.Fork -> Simkit.Exec.fork_available
-    | Simkit.Exec.Sequential -> true
-  in
-  if not available then
-    let raised =
-      try
-        ignore (Simkit.Exec.map ~backend ~jobs:4 Fun.id (List.init 8 Fun.id));
-        false
-      with Invalid_argument _ -> true
-    in
-    Alcotest.(check bool)
-      (name ^ " unavailable: forcing it is Invalid_argument")
-      true raised
-  else begin
-    let xs = List.init 20 Fun.id in
-    let f x = (x * 31) + 1 in
-    Alcotest.check int_list
-      (name ^ " matches List.map")
-      (List.map f xs)
-      (Simkit.Exec.map ~backend ~jobs:4 f xs);
-    let raised =
-      try
-        ignore
-          (Simkit.Exec.map ~backend ~jobs:4
-             (fun x -> if x = 7 then failwith "forced-boom" else x)
-             xs);
-        false
-      with Simkit.Exec.Job_failed msg ->
-        contains_substring ~sub:"forced-boom" msg
-    in
-    Alcotest.(check bool) (name ^ " propagates crashes") true raised
-  end
-
 let prop_exec_equals_list_map =
   QCheck.Test.make ~count:100
     ~name:"Exec.map = List.map (any jobs, any chunk)"
@@ -169,9 +94,10 @@ let prop_exec_equals_list_map =
       Simkit.Exec.map ~chunk ~jobs (fun x -> (x * 17) - 5) xs
       = List.map (fun x -> (x * 17) - 5) xs)
 
-(* Experiment tables must come out byte-identical at every jobs count;
-   test_pool pins jobs=4, these extend the sweep to 2 and 8. *)
-let experiment_determinism name build () =
+(* The experiments are the real workload: their tables must come out
+   byte-identical at every jobs count. Small sample counts keep this a
+   unit test, not a benchmark. *)
+let experiment_determinism ~jobs_list name build () =
   let baseline = Stellar_cup.Report.to_markdown (build ~jobs:1) in
   List.iter
     (fun jobs ->
@@ -179,13 +105,39 @@ let experiment_determinism name build () =
         (Printf.sprintf "%s table identical at jobs=%d" name jobs)
         baseline
         (Stellar_cup.Report.to_markdown (build ~jobs)))
-    [ 2; 8 ]
+    jobs_list
 
 let det_case name build =
   Alcotest.test_case
     (name ^ ": jobs in {2,8} byte-identical")
     `Slow
-    (experiment_determinism name build)
+    (experiment_determinism ~jobs_list:[ 2; 8 ] name build)
+
+(* The six experiment tables, by name, built at a given jobs count. *)
+let experiment_builds =
+  [
+    ( "e3",
+      fun ~jobs ->
+        Stellar_cup.Experiments.e3_theorem2_violation ~seed:1 ~samples:2 ~jobs
+          () );
+    ( "e4",
+      fun ~jobs ->
+        Stellar_cup.Experiments.e4_algorithm2_intertwined ~seed:2 ~samples:2
+          ~jobs () );
+    ( "e5",
+      fun ~jobs ->
+        Stellar_cup.Experiments.e5_availability ~seed:3 ~samples:2 ~jobs () );
+    ( "e6",
+      fun ~jobs ->
+        Stellar_cup.Experiments.e6_sink_detector ~seed:4 ~samples:2 ~jobs () );
+    ( "e7",
+      fun ~jobs ->
+        Stellar_cup.Experiments.e7_reachable_broadcast ~seed:5 ~samples:2 ~jobs
+          () );
+    ( "e8",
+      fun ~jobs ->
+        Stellar_cup.Experiments.e8_pipelines ~seed:6 ~samples:2 ~jobs () );
+  ]
 
 let suites =
   [
@@ -199,31 +151,12 @@ let suites =
           test_order_preserved_more_jobs_than_items;
         Alcotest.test_case "closures shared with workers" `Quick
           test_closure_capture;
-        Alcotest.test_case "backend dispatch" `Quick test_backend_dispatch;
         Alcotest.test_case "worker crash raises Job_failed" `Quick
           test_crash_propagates;
-        Alcotest.test_case "exception compatible with Pool" `Quick
-          test_pool_exception_compatible;
         Alcotest.test_case "minimum-index failure wins" `Quick
           test_min_index_failure;
-        Alcotest.test_case "forced domain backend" `Quick
-          (forced_backend_contract Simkit.Exec.Domains "domains");
-        Alcotest.test_case "forced fork backend" `Quick
-          (forced_backend_contract Simkit.Exec.Fork "fork");
         QCheck_alcotest.to_alcotest prop_exec_equals_list_map;
       ] );
     ( "exec-experiments",
-      [
-        det_case "e3" (fun ~jobs ->
-            Stellar_cup.Experiments.e3_theorem2_violation ~seed:1 ~samples:2
-              ~jobs ());
-        det_case "e5" (fun ~jobs ->
-            Stellar_cup.Experiments.e5_availability ~seed:3 ~samples:2 ~jobs
-              ());
-        det_case "e6" (fun ~jobs ->
-            Stellar_cup.Experiments.e6_sink_detector ~seed:4 ~samples:2 ~jobs
-              ());
-        det_case "e8" (fun ~jobs ->
-            Stellar_cup.Experiments.e8_pipelines ~seed:6 ~samples:2 ~jobs ());
-      ] );
+      List.map (fun (name, build) -> det_case name build) experiment_builds );
   ]

@@ -9,15 +9,6 @@ let row_widths_consistent (t : Report.t) =
   let w = List.length t.header in
   List.for_all (fun r -> List.length r = w) t.rows
 
-(* [List.find_index] is OCaml >= 5.1; CI also builds on 4.14. *)
-let find_index p l =
-  let rec go i = function
-    | [] -> None
-    | x :: _ when p x -> Some i
-    | _ :: tl -> go (i + 1) tl
-  in
-  go 0 l
-
 let check_table ?(expect_all_yes_in = []) (t : Report.t) =
   Alcotest.(check bool) (t.id ^ ": has rows") true (t.rows <> []);
   Alcotest.(check bool)
@@ -26,7 +17,7 @@ let check_table ?(expect_all_yes_in = []) (t : Report.t) =
   List.iter
     (fun col ->
       let idx =
-        match find_index (String.equal col) t.header with
+        match List.find_index (String.equal col) t.header with
         | Some i -> i
         | None -> Alcotest.failf "%s: no column %S" t.id col
       in

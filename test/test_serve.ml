@@ -162,87 +162,81 @@ let test_socket_concurrent_clients () =
      interleave across connections, yet each connection sees its own
      responses in its own request order, analyze payloads agree modulo
      the echoed id (the response cache is shared), and the stats verb
-     observes both connections live. On runtimes without concurrent
-     tasks [serve_unix] degrades to one client at a time, so the
-     interleaved half only runs where tasks are real. *)
-  if Simkit.Exec.concurrent_tasks then begin
-    let path = socket_path () in
-    let d = Serve.Daemon.create () in
-    let server =
-      Simkit.Exec.spawn_task (fun () ->
-          Serve.Daemon.serve_unix ~max_clients:2 d ~path)
-    in
-    wait_for_socket path;
-    let s1, ic1, oc1 = connect path in
-    let s2, ic2, oc2 = connect path in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close s1 with Unix.Unix_error _ -> ());
-        (try Unix.close s2 with Unix.Unix_error _ -> ());
-        Simkit.Exec.join_task server)
-      (fun () ->
-        (* interleaved pings: each connection gets its own id back *)
-        send oc1 (req 1 "ping" []);
-        send oc2 (req 21 "ping" []);
-        let r1 = input_line ic1 and r2 = input_line ic2 in
-        Alcotest.(check bool) "c1 got its id" true
-          (contains ~affix:{|"id":1|} r1);
-        Alcotest.(check bool) "c2 got its id" true
-          (contains ~affix:{|"id":21|} r2);
-        (* the same analysis from both clients: byte-identical modulo id,
-           the second served warm from the shared response cache *)
-        send oc1 (analyze 2);
-        let a1 = input_line ic1 in
-        send oc2 (analyze 22);
-        let a2 = input_line ic2 in
-        Alcotest.(check string) "shared cache, same payload" (strip_ids a1)
-          (strip_ids a2);
-        (* per-connection ordering: two requests down one pipe come back
-           in request order while the other connection stays open *)
-        send oc1 (req 3 "ping" []);
-        send oc1 (req 4 "version" []);
-        Alcotest.(check bool) "first in, first out" true
-          (contains ~affix:{|"id":3|} (input_line ic1));
-        Alcotest.(check bool) "second follows" true
-          (contains ~affix:{|"id":4|} (input_line ic1));
-        (* both handlers are live right now: each has answered on its
-           own connection, so stats must count two active clients *)
-        send oc2 (req 23 "stats" []);
-        Alcotest.(check bool) "two clients live" true
-          (contains ~affix:{|"active_clients":2|} (input_line ic2));
-        (* shutdown from one client stops the whole daemon *)
-        send oc2 (req 24 "shutdown" []);
-        Alcotest.(check bool) "shutdown acknowledged" true
-          (contains ~affix:{|"ok":true|} (input_line ic2)));
-    Alcotest.(check bool) "daemon stopped" true (Serve.Daemon.stopping d);
-    Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
-  end
+     observes both connections live. *)
+  let path = socket_path () in
+  let d = Serve.Daemon.create () in
+  let server =
+    Simkit.Exec.spawn_task (fun () ->
+        Serve.Daemon.serve_unix ~max_clients:2 d ~path)
+  in
+  wait_for_socket path;
+  let s1, ic1, oc1 = connect path in
+  let s2, ic2, oc2 = connect path in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close s1 with Unix.Unix_error _ -> ());
+      (try Unix.close s2 with Unix.Unix_error _ -> ());
+      Simkit.Exec.join_task server)
+    (fun () ->
+      (* interleaved pings: each connection gets its own id back *)
+      send oc1 (req 1 "ping" []);
+      send oc2 (req 21 "ping" []);
+      let r1 = input_line ic1 and r2 = input_line ic2 in
+      Alcotest.(check bool) "c1 got its id" true
+        (contains ~affix:{|"id":1|} r1);
+      Alcotest.(check bool) "c2 got its id" true
+        (contains ~affix:{|"id":21|} r2);
+      (* the same analysis from both clients: byte-identical modulo id,
+         the second served warm from the shared response cache *)
+      send oc1 (analyze 2);
+      let a1 = input_line ic1 in
+      send oc2 (analyze 22);
+      let a2 = input_line ic2 in
+      Alcotest.(check string) "shared cache, same payload" (strip_ids a1)
+        (strip_ids a2);
+      (* per-connection ordering: two requests down one pipe come back
+         in request order while the other connection stays open *)
+      send oc1 (req 3 "ping" []);
+      send oc1 (req 4 "version" []);
+      Alcotest.(check bool) "first in, first out" true
+        (contains ~affix:{|"id":3|} (input_line ic1));
+      Alcotest.(check bool) "second follows" true
+        (contains ~affix:{|"id":4|} (input_line ic1));
+      (* both handlers are live right now: each has answered on its
+         own connection, so stats must count two active clients *)
+      send oc2 (req 23 "stats" []);
+      Alcotest.(check bool) "two clients live" true
+        (contains ~affix:{|"active_clients":2|} (input_line ic2));
+      (* shutdown from one client stops the whole daemon *)
+      send oc2 (req 24 "shutdown" []);
+      Alcotest.(check bool) "shutdown acknowledged" true
+        (contains ~affix:{|"ok":true|} (input_line ic2)));
+  Alcotest.(check bool) "daemon stopped" true (Serve.Daemon.stopping d);
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
 
 let test_socket_session_matches_stdio () =
   (* One socket client replaying the canonical session gets exactly the
      bytes handle_line produces — the transport adds nothing. *)
-  if Simkit.Exec.concurrent_tasks then begin
-    let path = socket_path () in
-    let d = Serve.Daemon.create () in
-    let server =
-      Simkit.Exec.spawn_task (fun () -> Serve.Daemon.serve_unix d ~path)
-    in
-    wait_for_socket path;
-    let sock, ic, oc = connect path in
-    let expected = run_session (Serve.Daemon.create ()) session in
-    let got =
-      List.concat_map
-        (fun line ->
-          send oc line;
-          [ input_line ic ])
-        session
-    in
-    send oc (req 99 "shutdown" []);
-    ignore (input_line ic);
-    (try Unix.close sock with Unix.Unix_error _ -> ());
-    Simkit.Exec.join_task server;
-    Alcotest.(check (list string)) "socket = stdio bytes" expected got
-  end
+  let path = socket_path () in
+  let d = Serve.Daemon.create () in
+  let server =
+    Simkit.Exec.spawn_task (fun () -> Serve.Daemon.serve_unix d ~path)
+  in
+  wait_for_socket path;
+  let sock, ic, oc = connect path in
+  let expected = run_session (Serve.Daemon.create ()) session in
+  let got =
+    List.concat_map
+      (fun line ->
+        send oc line;
+        [ input_line ic ])
+      session
+  in
+  send oc (req 99 "shutdown" []);
+  ignore (input_line ic);
+  (try Unix.close sock with Unix.Unix_error _ -> ());
+  Simkit.Exec.join_task server;
+  Alcotest.(check (list string)) "socket = stdio bytes" expected got
 
 let test_repeat_analyze_reuses_payload () =
   (* Identical analyze requests under different ids: the payloads are
@@ -273,5 +267,11 @@ let suites =
           test_warm_repeat_identical_and_cached;
         Alcotest.test_case "repeated analyze differs only in id" `Quick
           test_repeat_analyze_reuses_payload;
+        Alcotest.test_case "stats reports the pool" `Quick
+          test_stats_reports_pool;
+        Alcotest.test_case "socket clients served concurrently" `Quick
+          test_socket_concurrent_clients;
+        Alcotest.test_case "socket session = stdio bytes" `Quick
+          test_socket_session_matches_stdio;
       ] );
   ]

@@ -1,5 +1,5 @@
-(* Capture fixtures for R1: literal closures in Exec/Pool job
-   positions, one per capture class the rule distinguishes. *)
+(* Capture fixtures for R1: literal closures in Exec job positions,
+   one per capture class the rule distinguishes. *)
 
 let table : (int, int) Hashtbl.t = Hashtbl.create 16
 
@@ -30,10 +30,10 @@ let local_table xs =
       Hashtbl.length h)
     xs
 
-(* R1-positive via Pool: a captured ref. *)
-let pool_ref xs =
+(* R1-positive: a captured ref. *)
+let captured_ref xs =
   let seen = ref 0 in
-  Simkit.Pool.map ~jobs:2
+  Simkit.Exec.map ~jobs:2
     (fun x ->
       incr seen;
       x + !seen)
