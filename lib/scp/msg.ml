@@ -15,16 +15,20 @@ let accept origin ~slices stmt = { origin; kind = Accept; stmt; slices }
 let kind_tag = function Vote -> 0 | Accept -> 1
 
 (* A canonical total order on slice declarations (Set.compare is
-   representation-independent, unlike polymorphic compare). *)
+   representation-independent, unlike polymorphic compare). Envelopes
+   of one origin share its declaration physically, so the duplicate
+   check on flooded envelopes mostly ends at [==]. *)
 let compare_slices a b =
-  match (a, b) with
-  | ( Fbqs.Slice.Threshold { members = m1; threshold = t1 },
-      Fbqs.Slice.Threshold { members = m2; threshold = t2 } ) -> (
-      match Int.compare t1 t2 with 0 -> Pid.Set.compare m1 m2 | c -> c)
-  | Fbqs.Slice.Explicit l1, Fbqs.Slice.Explicit l2 ->
-      List.compare Pid.Set.compare l1 l2
-  | Fbqs.Slice.Threshold _, Fbqs.Slice.Explicit _ -> -1
-  | Fbqs.Slice.Explicit _, Fbqs.Slice.Threshold _ -> 1
+  if a == b then 0
+  else
+    match (a, b) with
+    | ( Fbqs.Slice.Threshold { members = m1; threshold = t1 },
+        Fbqs.Slice.Threshold { members = m2; threshold = t2 } ) -> (
+        match Int.compare t1 t2 with 0 -> Pid.Set.compare m1 m2 | c -> c)
+    | Fbqs.Slice.Explicit l1, Fbqs.Slice.Explicit l2 ->
+        List.compare Pid.Set.compare l1 l2
+    | Fbqs.Slice.Threshold _, Fbqs.Slice.Explicit _ -> -1
+    | Fbqs.Slice.Explicit _, Fbqs.Slice.Threshold _ -> 1
 
 let compare a b =
   match Pid.compare a.origin b.origin with

@@ -38,10 +38,6 @@ type node_obs = {
   c_ballots : Obs.Metrics.counter option;
   c_nom_rounds : Obs.Metrics.counter option;
   c_decides : Obs.Metrics.counter option;
-  c_quorum_checks : Obs.Metrics.counter option;
-      (* shared with Fvoting's counter of the same name: the node's
-         merged-tally evaluations bypass Fvoting's entry points *)
-  c_vblocking_checks : Obs.Metrics.counter option;
 }
 
 type state = {
@@ -58,6 +54,7 @@ type state = {
   mutable high_prepared : Ballot.t option;  (* highest confirmed prepared *)
   mutable decided : decision option;
   mutable nom_round : int;  (* leader-priority nomination round *)
+  mutable jump_due : bool;  (* a prepare was accepted since [maybe_jump] *)
 }
 
 let make_obs ?metrics ?trace () =
@@ -70,8 +67,6 @@ let make_obs ?metrics ?trace () =
     c_ballots = c "scp_ballots_entered";
     c_nom_rounds = c "scp_nomination_rounds";
     c_decides = c "scp_decisions";
-    c_quorum_checks = c "scp_quorum_checks";
-    c_vblocking_checks = c "scp_vblocking_checks";
   }
 
 let bump = function Some c -> Obs.Metrics.incr c | None -> ()
@@ -104,6 +99,7 @@ let make_state ?metrics ?trace cfg =
     high_prepared = None;
     decided = None;
     nom_round = 1;
+    jump_due = false;
   }
 
 (* The leader set for the current round: the [nom_round]
@@ -165,80 +161,12 @@ let vote st ctx stmt =
 let accept st ctx stmt =
   Fvoting.mark_accepted st.fv stmt;
   Fvoting.record_accept st.fv stmt st.cfg.self;
+  (match stmt with
+  | Statement.Prepare _ -> st.jump_due <- true
+  | Statement.Nominate _ | Statement.Commit _ -> ());
   bump st.obs.c_accepts;
   obs_event st ctx "accept" (stmt_field stmt);
   emit_own st ctx (Msg.accept st.cfg.self ~slices:st.cfg.my_slices stmt)
-
-(* ---- prepared-statement tallies with counter subsumption ------------- *)
-
-(* A vote for Prepare (n', x) with n' >= n supports Prepare (n, x): the
-   higher prepare aborts strictly more ballots. Concrete SCP messages
-   carry ballot ranges; here we merge tallies at evaluation time. *)
-let merged_sets st stmt =
-  match stmt with
-  | Statement.Prepare b ->
-      List.fold_left
-        (fun (voters, acceptors) s ->
-          match s with
-          | Statement.Prepare b'
-            when Ballot.compatible b b' && b'.Ballot.counter >= b.Ballot.counter
-            ->
-              let tl = Fvoting.tally st.fv s in
-              ( Pid.Set.union voters tl.voters,
-                Pid.Set.union acceptors tl.acceptors )
-          | _ -> (voters, acceptors))
-        (Pid.Set.empty, Pid.Set.empty)
-        (Fvoting.statements st.fv)
-  | _ ->
-      let tl = Fvoting.tally st.fv stmt in
-      (tl.voters, tl.acceptors)
-
-let member_of_quorum st s =
-  bump st.obs.c_quorum_checks;
-  Pid.Set.mem st.cfg.self
-    (Fbqs.Quorum.greatest_quorum_within !(st.known_slices) s)
-
-(* Accepting a statement is forbidden when we already accepted a
-   contradicting one: prepare(b) aborts lower incompatible ballots, so
-   it contradicts their commits, and vice versa. *)
-let contradicts_accepted st stmt =
-  let accepted s = (Fvoting.tally st.fv s).i_accepted in
-  match stmt with
-  | Statement.Prepare b ->
-      List.exists
-        (fun s ->
-          match s with
-          | Statement.Commit b' ->
-              accepted s && Ballot.less_and_incompatible b' b
-          | _ -> false)
-        (Fvoting.statements st.fv)
-  | Statement.Commit b ->
-      List.exists
-        (fun s ->
-          match s with
-          | Statement.Prepare b' ->
-              accepted s && Ballot.less_and_incompatible b b'
-          | _ -> false)
-        (Fvoting.statements st.fv)
-  | Statement.Nominate _ -> false
-
-let can_accept st stmt =
-  let tl = Fvoting.tally st.fv stmt in
-  (not tl.i_accepted)
-  && (not (contradicts_accepted st stmt))
-  &&
-  let voters, acceptors = merged_sets st stmt in
-  member_of_quorum st voters
-  ||
-  (bump st.obs.c_vblocking_checks;
-   Fbqs.Quorum.is_v_blocking !(st.known_slices) st.cfg.self acceptors)
-
-let can_confirm st stmt =
-  let tl = Fvoting.tally st.fv stmt in
-  (not tl.i_confirmed)
-  &&
-  let _, acceptors = merged_sets st stmt in
-  member_of_quorum st acceptors
 
 (* ---- ballot machinery ------------------------------------------------ *)
 
@@ -306,41 +234,46 @@ let on_confirmed st ctx stmt =
       end
 
 (* Run accept/confirm transitions to a fixpoint: each acceptance can
-   unlock further acceptances and confirmations. *)
+   unlock further acceptances and confirmations. Statements whose
+   inputs did not change since they last evaluated false are skipped
+   (see Fvoting: the rules are monotone, so they would stay false). *)
 let rec progress st ctx =
   let changed = ref false in
-  List.iter
-    (fun stmt ->
-      if can_accept st stmt then begin
+  Fvoting.iter_dirty st.fv (fun stmt ->
+      if Fvoting.can_accept st.fv stmt then begin
         accept st ctx stmt;
         changed := true
       end;
-      if can_confirm st stmt then begin
+      if Fvoting.can_confirm st.fv stmt then begin
         Fvoting.mark_confirmed st.fv stmt;
         bump st.obs.c_confirms;
         obs_event st ctx "confirm" (stmt_field stmt);
         on_confirmed st ctx stmt;
         changed := true
-      end)
-    (Fvoting.statements st.fv);
+      end);
   if !changed then progress st ctx
 
 (* Catching up: accepting a prepare above our ballot pulls us onto it
-   (the v-blocking "jump" of concrete SCP). *)
+   (the v-blocking "jump" of concrete SCP). The ballot only grows, so
+   after a scan no accepted prepare is above it until another prepare
+   is accepted. *)
 let maybe_jump st ctx =
-  List.iter
-    (fun stmt ->
-      match stmt with
-      | Statement.Prepare b ->
-          let accepted = (Fvoting.tally st.fv stmt).i_accepted in
-          let above_current =
-            match st.current with
-            | None -> true
-            | Some cur -> Ballot.compare b cur > 0
-          in
-          if accepted && above_current then enter_ballot st ctx b
-      | Statement.Nominate _ | Statement.Commit _ -> ())
-    (Fvoting.statements st.fv)
+  if st.jump_due then begin
+    st.jump_due <- false;
+    List.iter
+      (fun stmt ->
+        match stmt with
+        | Statement.Prepare b ->
+            let accepted = (Fvoting.tally st.fv stmt).i_accepted in
+            let above_current =
+              match st.current with
+              | None -> true
+              | Some cur -> Ballot.compare b cur > 0
+            in
+            if accepted && above_current then enter_ballot st ctx b
+        | Statement.Nominate _ | Statement.Commit _ -> ())
+      (Fvoting.statements st.fv)
+  end
 
 (* ---- the behaviour ---------------------------------------------------- *)
 

@@ -68,7 +68,15 @@ val behavior :
     federated-voting quorum/v-blocking check counters); [trace] emits
     scope-["scp"] events ([vote], [accept], [confirm], [enter_ballot],
     [nomination_round], [decide]) stamped with the engine's logical
-    time. *)
+    time.
+
+    After each envelope the node runs accept/confirm to a fixpoint over
+    {!Fvoting.iter_dirty}: statements whose tallies and slice knowledge
+    did not change since they last evaluated false are skipped, so
+    [scp_quorum_checks] and [scp_vblocking_checks] count only the
+    evaluations actually performed. Skipping is exact (the rules are
+    monotone; see {!Fvoting}): traces and every other counter are the
+    same as with a full rescan. *)
 
 (** Byzantine SCP behaviours used by the experiments. *)
 

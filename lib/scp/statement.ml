@@ -22,8 +22,11 @@ let implied = function
   | Commit b -> [ Prepare b ]
   | Nominate _ | Prepare _ -> []
 
-module Map = Map.Make (struct
+module Ord = struct
   type nonrec t = t
 
   let compare = compare
-end)
+end
+
+module Map = Map.Make (Ord)
+module Set = Set.Make (Ord)

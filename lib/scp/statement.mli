@@ -22,3 +22,5 @@ val implied : t -> t list
     vote or acceptance of the former also counts for the latter. *)
 
 module Map : Map.S with type key = t
+
+module Set : Set.S with type elt = t

@@ -112,6 +112,112 @@ let test_sink_detector_trace_deterministic () =
   Alcotest.(check string) "sink detector trace deterministic"
     (traced ~seed:5) (traced ~seed:5)
 
+(* ---- pinned trace digests -------------------------------------------- *)
+
+(* MD5 digests of the JSONL traces of fixed-seed runs. Any change to
+   the order or content of SCP's vote/accept/confirm/ballot/decide
+   events changes a digest, so optimisations of federated voting must
+   leave every one of them untouched. Re-record them only for an
+   intended protocol change. *)
+let digest_of_trace run =
+  let buf = Buffer.create 65536 in
+  let sink = Obs.Trace.to_buffer buf in
+  run { Simkit.Run_config.default with trace = Some sink };
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The consensus-sd shape: Algorithm 3, Algorithm 2 slices and SCP on a
+   random 5-OSR graph with a sink of 7, 6 non-sink nodes, f = 2 and
+   [faults] silent processes. *)
+let sd_digest ~seed ~faults =
+  let f = 2 in
+  let graph =
+    Generators.random_k_osr ~seed ~sink_size:7 ~non_sink:6
+      ~k:((2 * f) + 1)
+      ()
+  in
+  let faulty = Generators.random_faulty_set ~seed ~f:faults graph in
+  digest_of_trace (fun rc ->
+      let v =
+        Stellar_cup.Pipeline.scp_with_sink_detector
+          ~cfg:{ rc with seed }
+          ~graph ~f ~faulty ~initial_value_of:own_value ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d, %d faults decides" seed faults)
+        true
+        (v.all_decided && v.agreement && v.validity))
+
+let sd_golden =
+  [
+    (1, 0, "3d3ae0b4a1529abf8df7cb3697b26a7c");
+    (2, 0, "0e7bc5efb2a8cd096437f18b5c59c006");
+    (3, 0, "5680c407a2911f0df18038806ea0757c");
+    (1, 1, "b6d9b912c3470bdb8a534b08ac879bd2");
+    (2, 1, "545999163c0a8c1c1ed302b39a74d2ba");
+    (3, 1, "a105b8c4a5e6985e853a1ba48b663c9e");
+    (1, 2, "5c5ecca67d21ccada0d250f3d4c2dcb5");
+    (2, 2, "adb1bb25eaaa7e975d2f91eb572b770d");
+    (3, 2, "bad9f8549b673dc4aea1416f52c6cc98");
+  ]
+
+let test_sd_digests () =
+  List.iter
+    (fun (seed, faults, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "consensus-sd seed %d, %d faults" seed faults)
+        expected (sd_digest ~seed ~faults))
+    sd_golden
+
+let scp_digest ?(nomination = Scp.Node.Echo_all) ~seed ~n ~t ~fault_of () =
+  let members = Pid.Set.of_range 1 n in
+  digest_of_trace (fun rc ->
+      ignore
+        (Scp.Runner.run_cfg
+           ~cfg:
+             { Scp.Runner.default_cfg with run = { rc with seed }; nomination }
+           ~system:(threshold_system n t)
+           ~peers_of:(fun _ -> members)
+           ~initial_value_of:own_value ~fault_of ()))
+
+let test_leader_priority_digest () =
+  Alcotest.(check string) "leader-priority nomination"
+    "2dbf40c699b3d70bc2630deee2c5b09e"
+    (scp_digest ~nomination:(Scp.Node.Leader_priority 30) ~seed:3 ~n:7 ~t:5
+       ~fault_of:(fun _ -> None)
+       ())
+
+let test_accept_forger_digest () =
+  let evil = Scp.Ballot.make 99 (Scp.Value.of_ints [ 666 ]) in
+  let fault_of i =
+    if i = 5 then
+      Some
+        (Scp.Runner.Accept_forger
+           [
+             Scp.Statement.Nominate (Scp.Value.of_ints [ 666 ]);
+             Scp.Statement.Prepare evil;
+             Scp.Statement.Commit evil;
+           ])
+    else None
+  in
+  Alcotest.(check string) "accept forger" "ae1180c4bf109dd272fc7c33366f94ef"
+    (scp_digest ~seed:4 ~n:5 ~t:4 ~fault_of ())
+
+let test_slice_equivocator_digest () =
+  let fault_of i =
+    if i = 5 then
+      Some
+        (Scp.Runner.Slice_equivocator
+           {
+             split = (fun j -> j mod 2 = 0);
+             slices_a = Fbqs.Slice.explicit [ Pid.Set.of_list [ 1; 2 ] ];
+             slices_b = Fbqs.Slice.explicit [ Pid.Set.of_list [ 3; 4 ] ];
+             value = Scp.Value.of_ints [ 50 ];
+           })
+    else None
+  in
+  Alcotest.(check string) "slice equivocator" "bb9b53b7810cf452a0e8cb585389d930"
+    (scp_digest ~seed:5 ~n:5 ~t:4 ~fault_of ())
+
 let suites =
   [
     ( "trace_golden",
@@ -123,5 +229,13 @@ let suites =
         Alcotest.test_case "JSONL shape + dense seq" `Quick test_trace_shape;
         Alcotest.test_case "sink detector deterministic" `Quick
           test_sink_detector_trace_deterministic;
+        Alcotest.test_case "consensus-sd trace digests pinned" `Quick
+          test_sd_digests;
+        Alcotest.test_case "leader-priority trace digest pinned" `Quick
+          test_leader_priority_digest;
+        Alcotest.test_case "accept-forger trace digest pinned" `Quick
+          test_accept_forger_digest;
+        Alcotest.test_case "slice-equivocator trace digest pinned" `Quick
+          test_slice_equivocator_digest;
       ] );
   ]
