@@ -24,9 +24,9 @@ module D = Pid.Dense_set
 
    Found quorums are confirmed minimal on the spot (dropping any single
    member must leave no quorum), so no superset bookkeeping or global
-   minimisation pass is needed and enumeration can stream with early
-   exit — which is what makes the quorum-intersection check on a
-   n=200-validator topology answer in well under a second. *)
+   minimisation pass is needed and enumeration streams — which is what
+   makes the quorum-intersection check on a n=200-validator topology
+   answer in well under a second. *)
 
 type stats = { explored : int; pruned : int; found : int }
 
@@ -76,55 +76,7 @@ let prepare ?metrics sys =
 let system t = t.sys
 let stats t = { explored = t.explored; pruned = t.pruned; found = t.found }
 
-let tick_explored t =
-  t.explored <- t.explored + 1;
-  Option.iter (fun c -> Obs.Metrics.incr c) t.c_explored
-
-let tick_pruned t =
-  t.pruned <- t.pruned + 1;
-  Option.iter (fun c -> Obs.Metrics.incr c) t.c_pruned
-
-let tick_found t =
-  t.found <- t.found + 1;
-  Option.iter (fun c -> Obs.Metrics.incr c) t.c_found
-
-(* ---- the search primitive -------------------------------------------- *)
-
-exception Stop
-
-(* Depth-first enumeration of the minimal quorums inside [universe]
-   (already contracted to a greatest quorum). [emit] returns [false] to
-   abort the traversal. Candidates branch in ascending pid order, so
-   the emission order — and with it every downstream report — is
-   deterministic. *)
-let explore t ~universe emit =
-  let c = t.compiled in
-  let minimal_quorum q =
-    D.for_all
-      (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
-      q
-  in
-  let rec go selection remaining available =
-    tick_explored t;
-    if Quorum.Compiled.is_quorum_d c selection then begin
-      (* Supersets of a quorum cannot be minimal: stop descending. *)
-      if minimal_quorum selection then begin
-        tick_found t;
-        if not (emit selection) then raise Stop
-      end
-    end
-    else
-      match remaining with
-      | [] -> ()
-      | v :: rest ->
-          go (D.add v selection) rest available;
-          let available = D.remove v available in
-          let gq = Quorum.Compiled.greatest_quorum_within_d c available in
-          if D.subset selection gq then
-            go selection (List.filter (fun u -> D.mem u gq) rest) gq
-          else tick_pruned t
-  in
-  go D.empty (D.elements universe) universe
+(* ---- contraction ------------------------------------------------------ *)
 
 (* The SCCs of the trust graph restricted to the greatest quorum, kept
    only when they contain a quorum — the contraction step. Returns
@@ -161,22 +113,29 @@ let canonical sets =
 
 (* ---- parallel sharding ------------------------------------------------ *)
 
-(* The search trees shard for {!Simkit.Exec.map}: the DFS above a
-   fixed frontier depth runs in the caller — ticking the analyzer
-   exactly as the sequential walk does — and each call that would
-   cross the frontier is captured (its exact [go] arguments) instead
-   of descending. Subtrees are independent, results merge through
-   {!canonical} (order-independent) and tick deltas are summed back
-   afterwards, so output and stats are byte-identical to the
-   sequential run at every [jobs] count. Shards are dense-set/int
-   data and the job closures capture only the compiled system (bitset
-   arrays and slice maps); the compiled handle's own query tallies
-   are the only shared mutable state jobs touch, and nothing
-   downstream reads them. *)
+(* Each search is one walk parameterised by a frontier depth and a
+   tick sink ([tick_delta]). Unsharded runs walk with an unbounded
+   frontier. For {!Simkit.Exec.map} the caller walks the tree down to a
+   fixed frontier depth and each node at the frontier is captured (its
+   exact arguments) instead of visited; the captured subtrees run as
+   jobs with their own sinks. Subtrees are independent, results merge
+   through {!canonical} (order-independent) and every sink is summed
+   into the analyzer, so output and stats are byte-identical to the
+   sequential run at every [jobs] count. Shards are dense-set/int data
+   and the job closures capture only immutable arrays (the compiled
+   system, the transposed quorum family); the compiled handle's own
+   query tallies are the only shared mutable state jobs touch, and
+   nothing downstream reads them. *)
 
 let default_frontier_depth = 5
 
-type tick_delta = { d_explored : int; d_pruned : int; d_found : int }
+type tick_delta = {
+  mutable d_explored : int;
+  mutable d_pruned : int;
+  mutable d_found : int;
+}
+
+let no_ticks () = { d_explored = 0; d_pruned = 0; d_found = 0 }
 
 let apply_delta t d =
   let bump counter by =
@@ -193,30 +152,29 @@ let apply_delta t d =
 
 (* ---- minimal quorums -------------------------------------------------- *)
 
-type mq_shard = { mq_sel : D.t; mq_rem : Pid.t list; mq_avail : D.t }
+type mq_node = { selection : D.t; remaining : Pid.t list; available : D.t }
 
-(* The prefix of [explore]'s DFS above the frontier: same branching,
-   same pruning, same ticks on [t]. Quorums found above the frontier
-   come back alongside the deferred frontier calls. *)
-let mq_cut t ~universe =
-  let c = t.compiled in
-  let minimal_quorum q =
-    D.for_all
-      (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
-      q
-  in
-  let shards = ref [] and above = ref [] in
+let minimal_quorum c q =
+  D.for_all
+    (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
+    q
+
+(* The one minimal-quorum walk: depth-first enumeration of the minimal
+   quorums below [node], whose pool is already contracted to a
+   greatest quorum. Candidates branch in ascending pid order, so the
+   emission order — and with it every downstream report — is
+   deterministic. Nodes [frontier] levels down go to [defer] unvisited
+   (the sharding cut); every visited node ticks [ticks]. *)
+let mq_walk c ~frontier ~defer ~emit ticks node =
   let rec go depth selection remaining available =
-    if depth >= default_frontier_depth then
-      shards :=
-        { mq_sel = selection; mq_rem = remaining; mq_avail = available }
-        :: !shards
+    if depth >= frontier then defer { selection; remaining; available }
     else begin
-      tick_explored t;
+      ticks.d_explored <- ticks.d_explored + 1;
       if Quorum.Compiled.is_quorum_d c selection then begin
-        if minimal_quorum selection then begin
-          tick_found t;
-          above := D.to_set selection :: !above
+        (* Supersets of a quorum cannot be minimal: stop descending. *)
+        if minimal_quorum c selection then begin
+          ticks.d_found <- ticks.d_found + 1;
+          emit selection
         end
       end
       else
@@ -230,61 +188,18 @@ let mq_cut t ~universe =
               go (depth + 1) selection
                 (List.filter (fun u -> D.mem u gq) rest)
                 gq
-            else tick_pruned t
+            else ticks.d_pruned <- ticks.d_pruned + 1
     end
   in
-  go 0 D.empty (D.elements universe) universe;
-  (List.rev !shards, !above)
+  go 0 node.selection node.remaining node.available
 
-(* One deferred subtree, recursed to the bottom with local counters —
-   the body of [explore], minus the shared analyzer state. *)
-let mq_run c sh =
-  let explored = ref 0 and pruned = ref 0 and found = ref 0 in
-  let acc = ref [] in
-  let minimal_quorum q =
-    D.for_all
-      (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
-      q
-  in
-  let rec go selection remaining available =
-    incr explored;
-    if Quorum.Compiled.is_quorum_d c selection then begin
-      if minimal_quorum selection then begin
-        incr found;
-        acc := D.to_set selection :: !acc
-      end
-    end
-    else
-      match remaining with
-      | [] -> ()
-      | v :: rest ->
-          go (D.add v selection) rest available;
-          let available = D.remove v available in
-          let gq = Quorum.Compiled.greatest_quorum_within_d c available in
-          if D.subset selection gq then
-            go selection (List.filter (fun u -> D.mem u gq) rest) gq
-          else incr pruned
-  in
-  go sh.mq_sel sh.mq_rem sh.mq_avail;
-  (!acc, { d_explored = !explored; d_pruned = !pruned; d_found = !found })
-
-let minimal_quorums_sharded ~jobs t =
-  let c = t.compiled in
-  let acc = ref [] in
-  let shards =
-    List.concat_map
-      (fun universe ->
-        let shards, above = mq_cut t ~universe in
-        acc := List.rev_append above !acc;
-        shards)
-      (quorum_sccs t)
-  in
-  List.iter
-    (fun (sets, delta) ->
-      acc := List.rev_append sets !acc;
-      apply_delta t delta)
-    (Simkit.Exec.map ~jobs (mq_run c) shards);
-  canonical !acc
+(* One deferred subtree, walked to the bottom with its own ticks. *)
+let mq_run c node =
+  let ticks = no_ticks () and acc = ref [] in
+  mq_walk c ~frontier:max_int ~defer:ignore
+    ~emit:(fun q -> acc := D.to_set q :: !acc)
+    ticks node;
+  (!acc, ticks)
 
 let minimal_quorums ?(jobs = 1) t =
   match t.minimal with
@@ -292,15 +207,29 @@ let minimal_quorums ?(jobs = 1) t =
   | None ->
       let result =
         if t.fallback then canonical (Quorum.minimal_quorums t.sys)
-        else if jobs > 1 then minimal_quorums_sharded ~jobs t
         else begin
-          let acc = ref [] in
+          let sharded = jobs > 1 in
+          let acc = ref [] and shards = ref [] and ticks = no_ticks () in
           List.iter
             (fun universe ->
-              explore t ~universe (fun q ->
-                  acc := D.to_set q :: !acc;
-                  true))
+              mq_walk t.compiled
+                ~frontier:(if sharded then default_frontier_depth else max_int)
+                ~defer:(fun node -> shards := node :: !shards)
+                ~emit:(fun q -> acc := D.to_set q :: !acc)
+                ticks
+                {
+                  selection = D.empty;
+                  remaining = D.elements universe;
+                  available = universe;
+                })
             (quorum_sccs t);
+          apply_delta t ticks;
+          if sharded then
+            List.iter
+              (fun (sets, delta) ->
+                acc := List.rev_append sets !acc;
+                apply_delta t delta)
+              (Simkit.Exec.map ~jobs (mq_run t.compiled) (List.rev !shards));
           canonical !acc
         end
       in
@@ -383,143 +312,143 @@ type blocking = { sets : Pid.Set.t list; complete : bool }
    hitting sets of the minimal-quorum family, enumerated by branching
    on the members of an uncovered quorum with the usual
    "exclude-previous-branches" discipline (each hitting set is reached
-   exactly once). *)
+   exactly once).
 
-(* each member must be the sole hitter of some quorum *)
-let bk_minimal quorums chosen =
-  D.for_all
-    (fun b ->
-      Array.exists
-        (fun q -> D.mem b q && D.inter_cardinal q chosen = 1)
-        quorums)
-    chosen
+   The family is searched transposed: quorums are numbered in
+   canonical order, [hits.(v)] is the bitset of quorum indices
+   containing [v], and a node's uncovered quorums are a bitset of
+   indices. Choosing [v] is then one [D.diff] per child instead of a
+   list filter over hundreds of quorums. *)
 
-(* branch on the uncovered quorum with the fewest usable members;
-   first such quorum wins ties (deterministic) *)
-let bk_best uncovered excluded =
-  List.fold_left
-    (fun best q ->
-      let usable = D.diff q excluded in
-      let c = D.cardinal usable in
-      match best with
-      | Some (_, bc) when bc <= c -> best
-      | _ -> Some (usable, c))
-    None uncovered
+type family = { quorums : D.t array; hits : D.t array (* by pid *) }
 
-type bk_shard = {
-  bk_chosen : D.t;
-  bk_uncovered : D.t list;
-  bk_excluded : D.t;
-}
+let transpose quorums =
+  let top =
+    Array.fold_left
+      (fun m q -> max m (Option.value ~default:(-1) (D.max_elt_opt q)))
+      (-1) quorums
+  in
+  let members = Array.make (top + 1) [] in
+  for i = Array.length quorums - 1 downto 0 do
+    D.iter (fun v -> members.(v) <- i :: members.(v)) quorums.(i)
+  done;
+  { quorums; hits = Array.map D.of_list members }
+
+(* Each member must be the sole hitter of some quorum:
+   [hits.(b) ⊄ ⋃_{c ≠ b} hits.(c)]. One pass over [chosen] splits the
+   quorum indices into those hit at least once and more than once. *)
+let bk_minimal f chosen =
+  let once, many =
+    D.fold
+      (fun c (once, many) ->
+        let h = f.hits.(c) in
+        (D.union once h, D.union many (D.inter once h)))
+      chosen (D.empty, D.empty)
+  in
+  let sole = D.diff once many in
+  D.for_all (fun b -> not (D.disjoint f.hits.(b) sole)) chosen
+
+(* The usable members of the uncovered quorum with the fewest of them;
+   the first such quorum (ascending index) wins ties (deterministic).
+   Only the winner's member set is materialised. *)
+let bk_best f uncovered excluded =
+  let best = ref (-1) and best_card = ref max_int in
+  D.iter
+    (fun i ->
+      let c = D.diff_cardinal f.quorums.(i) excluded in
+      if c < !best_card then begin
+        best := i;
+        best_card := c
+      end)
+    uncovered;
+  D.diff f.quorums.(!best) excluded
+
+type bk_node = { chosen : D.t; uncovered : D.t; excluded : D.t }
+
+exception Stop
 
 (* The hitting-set tree branches much wider than the quorum search
    (one child per usable member of the pivot quorum), so its frontier
    sits shallower. *)
 let blocking_frontier_depth = 3
 
-let bk_cut t quorums =
-  let shards = ref [] and above = ref [] in
+(* The one hitting-set walk, from [node] down. Nodes [frontier] levels
+   below [node] go to [defer] unvisited (the sharding cut); every
+   visited node ticks [ticks]; each minimal hitting set goes to [emit],
+   which may raise [Stop] to truncate the walk. *)
+let bk_walk f ~frontier ~defer ~emit ticks node =
   let rec go depth chosen uncovered excluded =
-    if depth >= blocking_frontier_depth then
-      shards :=
-        { bk_chosen = chosen; bk_uncovered = uncovered; bk_excluded = excluded }
-        :: !shards
+    if depth >= frontier then defer { chosen; uncovered; excluded }
     else begin
-      tick_explored t;
-      match uncovered with
-      | [] ->
-          if bk_minimal quorums chosen then
-            above := D.to_set chosen :: !above
-      | _ ->
-          let usable, card = Option.get (bk_best uncovered excluded) in
-          if card = 0 then tick_pruned t
-          else
-            ignore
-              (D.fold
-                 (fun v excluded ->
-                   go (depth + 1) (D.add v chosen)
-                     (List.filter (fun q -> not (D.mem v q)) uncovered)
-                     excluded;
-                   D.add v excluded)
-                 usable excluded)
-    end
-  in
-  go 0 D.empty (Array.to_list quorums) D.empty;
-  (List.rev !shards, !above)
-
-let bk_run quorums sh =
-  let explored = ref 0 and pruned = ref 0 in
-  let results = ref [] in
-  let rec go chosen uncovered excluded =
-    incr explored;
-    match uncovered with
-    | [] ->
-        if bk_minimal quorums chosen then
-          results := D.to_set chosen :: !results
-    | _ ->
-        let usable, card = Option.get (bk_best uncovered excluded) in
-        if card = 0 then incr pruned
+      ticks.d_explored <- ticks.d_explored + 1;
+      if D.is_empty uncovered then begin
+        if bk_minimal f chosen then emit chosen
+      end
+      else
+        let usable = bk_best f uncovered excluded in
+        if D.is_empty usable then ticks.d_pruned <- ticks.d_pruned + 1
         else
           ignore
             (D.fold
                (fun v excluded ->
-                 go (D.add v chosen)
-                   (List.filter (fun q -> not (D.mem v q)) uncovered)
+                 go (depth + 1) (D.add v chosen)
+                   (D.diff uncovered f.hits.(v))
                    excluded;
                  D.add v excluded)
                usable excluded)
+    end
   in
-  go sh.bk_chosen sh.bk_uncovered sh.bk_excluded;
-  (!results, { d_explored = !explored; d_pruned = !pruned; d_found = 0 })
+  go 0 node.chosen node.uncovered node.excluded
+
+(* One deferred subtree, walked to the bottom with its own ticks. *)
+let bk_run f node =
+  let ticks = no_ticks () and acc = ref [] in
+  bk_walk f ~frontier:max_int ~defer:ignore
+    ~emit:(fun s -> acc := D.to_set s :: !acc)
+    ticks node;
+  (!acc, ticks)
 
 let minimal_blocking_sets ?(limit = max_int) ?(jobs = 1) t =
   let quorums =
     List.map D.of_set (minimal_quorums ~jobs t) |> Array.of_list
   in
-  if Array.length quorums = 0 then { sets = []; complete = true }
-  else if jobs > 1 && limit = max_int then begin
+  let m = Array.length quorums in
+  if m = 0 then { sets = []; complete = true }
+  else begin
     (* Unlimited enumeration is order-independent, so subtrees below
        the frontier shard out like the quorum search. A finite [limit]
-       keeps the sequential path: truncation depends on discovery
-       order, which sharding does not preserve. *)
-    let shards, above = bk_cut t quorums in
-    let acc = ref above in
-    List.iter
-      (fun (sets, delta) ->
-        acc := List.rev_append sets !acc;
-        apply_delta t delta)
-      (Simkit.Exec.map ~jobs (bk_run quorums) shards);
-    { sets = canonical !acc; complete = true }
-  end
-  else begin
-    let results = ref [] and count = ref 0 and complete = ref true in
-    let rec go chosen uncovered excluded =
-      tick_explored t;
-      match uncovered with
-      | [] ->
-          if bk_minimal quorums chosen then begin
-            results := D.to_set chosen :: !results;
+       walks the whole tree in the caller: truncation depends on
+       discovery order, which sharding does not preserve. *)
+    let sharded = jobs > 1 && limit = max_int in
+    let f = transpose quorums in
+    let acc = ref [] and count = ref 0 and shards = ref [] in
+    let ticks = no_ticks () in
+    let complete =
+      try
+        bk_walk f
+          ~frontier:(if sharded then blocking_frontier_depth else max_int)
+          ~defer:(fun node -> shards := node :: !shards)
+          ~emit:(fun s ->
+            acc := D.to_set s :: !acc;
             incr count;
-            if !count >= limit then begin
-              complete := false;
-              raise Stop
-            end
-          end
-      | _ ->
-          let usable, card = Option.get (bk_best uncovered excluded) in
-          if card = 0 then tick_pruned t
-          else
-            ignore
-              (D.fold
-                 (fun v excluded ->
-                   go (D.add v chosen)
-                     (List.filter (fun q -> not (D.mem v q)) uncovered)
-                     excluded;
-                   D.add v excluded)
-                 usable excluded)
+            if !count >= limit then raise Stop)
+          ticks
+          {
+            chosen = D.empty;
+            uncovered = D.of_range 0 (m - 1);
+            excluded = D.empty;
+          };
+        true
+      with Stop -> false
     in
-    (try go D.empty (Array.to_list quorums) D.empty with Stop -> ());
-    { sets = canonical !results; complete = !complete }
+    apply_delta t ticks;
+    if sharded then
+      List.iter
+        (fun (sets, delta) ->
+          acc := List.rev_append sets !acc;
+          apply_delta t delta)
+        (Simkit.Exec.map ~jobs (bk_run f) (List.rev !shards));
+    { sets = canonical !acc; complete }
   end
 
 (* ---- minimal splitting sets -------------------------------------------- *)

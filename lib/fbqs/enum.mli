@@ -101,10 +101,14 @@ val minimal_blocking_sets : ?limit:int -> ?jobs:int -> t -> blocking
 (** Inclusion-minimal sets whose failure leaves no functioning quorum.
     Availability is judged on the original system, so these are
     exactly the minimal hitting sets of the minimal-quorum family,
-    enumerated by branch-and-bound (each set reached once). [limit]
-    caps the number of sets returned (default: unlimited); a finite
-    [limit] forces the sequential path, because which sets survive a
-    truncation depends on discovery order. *)
+    enumerated by branch-and-bound (each set reached once). The search
+    runs on the transposed family: uncovered quorums are a bitset of
+    quorum indices and choosing a pid removes the precomputed bitset
+    of quorums it hits, so a node costs a few word-wise passes
+    whatever the number of quorums. [limit] caps the number of sets
+    returned (default: unlimited); a finite [limit] keeps the whole
+    walk in the caller, because which sets survive a truncation
+    depends on discovery order. *)
 
 val minimal_splitting_sets :
   ?metrics:Obs.Metrics.t ->

@@ -110,6 +110,13 @@ let compile_raw sys =
     }
   end
 
+(* Does some slice of [slices] from index [k] on lie within [qd]?
+   Top-level, not a local closure: it runs once per member per
+   candidate set (DESIGN.md §8). *)
+let rec slice_within slices qd k =
+  k < Array.length slices
+  && (D.subset slices.(k) qd || slice_within slices qd (k + 1))
+
 (* The per-member test of Algorithm 1. [counts] memoizes one
    intersection cardinality per member-set class for the duration of a
    single candidate-set evaluation. *)
@@ -119,10 +126,7 @@ let member_ok c counts qd i =
   &&
   match c.entries.(i) with
   | Absent -> false
-  | Explicit_d slices ->
-      let n = Array.length slices in
-      let rec go k = k < n && (D.subset slices.(k) qd || go (k + 1)) in
-      go 0
+  | Explicit_d slices -> slice_within slices qd 0
   | Threshold_d { sat; threshold; cls } ->
       sat
       && threshold

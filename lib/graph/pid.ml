@@ -146,6 +146,9 @@ module Dense_set = struct
 
   let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t
 
+  (* Kernel word loops take their arguments explicitly: without flambda
+     a local [let rec] capturing [a]/[b] allocates a closure per call,
+     and these run millions of times per analysis (DESIGN.md §8). *)
   let inter_cardinal a b =
     let l = min (Array.length a) (Array.length b) in
     let c = ref 0 in
@@ -154,17 +157,25 @@ module Dense_set = struct
     done;
     !c
 
+  let diff_cardinal a b =
+    let lb = Array.length b in
+    let c = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      c := !c + popcount (if i < lb then a.(i) land lnot b.(i) else a.(i))
+    done;
+    !c
+
+  let rec subset_from a b i la =
+    i >= la || (a.(i) land lnot b.(i) = 0 && subset_from a b (i + 1) la)
+
   let subset a b =
     let la = Array.length a in
-    la <= Array.length b
-    &&
-    let rec go i = i >= la || (a.(i) land lnot b.(i) = 0 && go (i + 1)) in
-    go 0
+    la <= Array.length b && subset_from a b 0 la
 
-  let disjoint a b =
-    let l = min (Array.length a) (Array.length b) in
-    let rec go i = i >= l || (a.(i) land b.(i) = 0 && go (i + 1)) in
-    go 0
+  let rec disjoint_from a b i l =
+    i >= l || (a.(i) land b.(i) = 0 && disjoint_from a b (i + 1) l)
+
+  let disjoint a b = disjoint_from a b 0 (min (Array.length a) (Array.length b))
 
   let equal (a : t) (b : t) = a = b
 

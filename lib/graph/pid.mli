@@ -68,6 +68,11 @@ module Dense_set : sig
       the intersection: one fused popcount pass. This is the whole cost
       of the symbolic quorum-membership test. *)
 
+  val diff_cardinal : t -> t -> int
+  (** [diff_cardinal a b = cardinal (diff a b)] without materializing
+      the difference, in one allocation-free pass over [a]'s words.
+      The blocking-set search ranks pivot quorums with it. *)
+
   val subset : t -> t -> bool
 
   val disjoint : t -> t -> bool

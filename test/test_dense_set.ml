@@ -93,6 +93,13 @@ let prop_inter_cardinal =
       D.inter_cardinal d1 d2 = Pid.Set.cardinal (Pid.Set.inter s1 s2)
       && D.inter_cardinal d1 d2 = D.cardinal (D.inter d1 d2))
 
+let prop_diff_cardinal =
+  QCheck.Test.make ~count ~name:"diff_cardinal = cardinal of difference"
+    arb_ids2 (fun (l1, l2) ->
+      let s1, d1 = both l1 and s2, d2 = both l2 in
+      D.diff_cardinal d1 d2 = Pid.Set.cardinal (Pid.Set.diff s1 s2)
+      && D.diff_cardinal d1 d2 = D.cardinal (D.diff d1 d2))
+
 let prop_fold_order =
   QCheck.Test.make ~count ~name:"fold/iter/filter order agrees with Pid.Set"
     arb_ids (fun l ->
@@ -222,6 +229,57 @@ let prop_threshold_sharing =
            (Fbqs.Quorum.greatest_quorum_within sys q)
            (ref_greatest_quorum_within sys q))
 
+(* ---- allocation guard: the kernel word loops ------------------------ *)
+
+(* Without flambda a local [let rec] over [a]/[b] allocates a closure on
+   every call (DESIGN.md §8); these loops run millions of times per
+   analysis, so they must not allocate at all. *)
+let minor_words_of n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  Gc.minor_words () -. w0
+
+let test_kernel_allocation_free () =
+  let a = D.of_list [ 0; 5; 63; 64; 130; 200 ]
+  and b = D.of_range 0 210 in
+  let calls = 10_000 in
+  let words =
+    minor_words_of calls (fun () -> D.subset a b)
+    +. minor_words_of calls (fun () -> D.inter_cardinal a b)
+    +. minor_words_of calls (fun () -> D.diff_cardinal b a)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 3 x %d calls (< %d)" words calls
+       calls)
+    true
+    (words < float_of_int calls)
+
+let test_is_quorum_d_allocation () =
+  (* The live fixture's top tier (21 validators, 20 explicit slices
+     each) is a quorum, so every member's slice scan runs. A call may
+     allocate only its fixed per-call state (the [counts] array, the
+     member predicate and the [for_all] walk) — nothing per member or
+     per slice. *)
+  let sys =
+    match Fbqs.Fbas_io.of_file "fixtures/live_network.fbas" with
+    | Ok sys -> sys
+    | Error e -> Alcotest.fail e
+  in
+  let c = Fbqs.Quorum.Compiled.compile sys in
+  let top = D.of_range 0 20 in
+  Alcotest.(check bool) "top tier is a quorum" true
+    (Fbqs.Quorum.Compiled.is_quorum_d c top);
+  let calls = 1_000 in
+  let per_call =
+    minor_words_of calls (fun () -> Fbqs.Quorum.Compiled.is_quorum_d c top)
+    /. float_of_int calls
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per call (<= 32)" per_call)
+    true (per_call <= 32.)
+
 let suites =
   [
     ( "dense_set",
@@ -234,10 +292,15 @@ let suites =
         QCheck_alcotest.to_alcotest prop_set_algebra;
         QCheck_alcotest.to_alcotest prop_predicates;
         QCheck_alcotest.to_alcotest prop_inter_cardinal;
+        QCheck_alcotest.to_alcotest prop_diff_cardinal;
         QCheck_alcotest.to_alcotest prop_fold_order;
         QCheck_alcotest.to_alcotest prop_add_remove;
         QCheck_alcotest.to_alcotest prop_is_quorum_equiv;
         QCheck_alcotest.to_alcotest prop_greatest_equiv;
         QCheck_alcotest.to_alcotest prop_threshold_sharing;
+        Alcotest.test_case "kernel word loops allocate nothing" `Quick
+          test_kernel_allocation_free;
+        Alcotest.test_case "is_quorum_d allocates per call, not per member"
+          `Quick test_is_quorum_d_allocation;
       ] );
   ]

@@ -78,10 +78,12 @@ let prop_blocking_parity =
   QCheck.Test.make ~count:150 ~name:"minimal_blocking_sets: jobs=4 = jobs=1"
     sys_arb
     (fun (_, _, sys) ->
-      let b1 = Enum.minimal_blocking_sets ~jobs:1 (Enum.prepare sys) in
-      let b4 = Enum.minimal_blocking_sets ~jobs:4 (Enum.prepare sys) in
+      let t1 = Enum.prepare sys and t4 = Enum.prepare sys in
+      let b1 = Enum.minimal_blocking_sets ~jobs:1 t1 in
+      let b4 = Enum.minimal_blocking_sets ~jobs:4 t4 in
       sets_equal b1.Enum.sets b4.Enum.sets
-      && b1.Enum.complete = b4.Enum.complete)
+      && b1.Enum.complete = b4.Enum.complete
+      && stats_equal (Enum.stats t1) (Enum.stats t4))
 
 let prop_blocking_limit_parity =
   (* A finite limit pins the truncation to discovery order, so jobs
@@ -89,10 +91,12 @@ let prop_blocking_limit_parity =
   QCheck.Test.make ~count:100 ~name:"blocking ~limit: jobs=4 = jobs=1"
     QCheck.(pair sys_arb (int_range 0 4))
     (fun ((_, _, sys), limit) ->
-      let b1 = Enum.minimal_blocking_sets ~limit ~jobs:1 (Enum.prepare sys) in
-      let b4 = Enum.minimal_blocking_sets ~limit ~jobs:4 (Enum.prepare sys) in
+      let t1 = Enum.prepare sys and t4 = Enum.prepare sys in
+      let b1 = Enum.minimal_blocking_sets ~limit ~jobs:1 t1 in
+      let b4 = Enum.minimal_blocking_sets ~limit ~jobs:4 t4 in
       sets_equal b1.Enum.sets b4.Enum.sets
-      && b1.Enum.complete = b4.Enum.complete)
+      && b1.Enum.complete = b4.Enum.complete
+      && stats_equal (Enum.stats t1) (Enum.stats t4))
 
 let prop_splitting_parity =
   QCheck.Test.make ~count:80 ~name:"minimal_splitting_sets: jobs=4 = jobs=1"
@@ -150,6 +154,47 @@ let test_deep_parity () =
      sets_equal b1.Enum.sets b4.Enum.sets
      && b1.Enum.complete = b4.Enum.complete)
 
+(* ---- the live-network fixture ------------------------------------------- *)
+
+let test_live_blocking_pinned () =
+  (* 519 minimal quorums: the blocking search's quorum-index bitsets
+     span nine words. Counts, stats and a digest of the sets were
+     recorded with the list-based search this one replaced; stats are
+     cumulative (the minimal-quorum search contributes 5549 explored
+     and all the pruning). *)
+  let sys =
+    match Fbas_io.of_file "fixtures/live_network.fbas" with
+    | Ok sys -> sys
+    | Error e -> Alcotest.fail e
+  in
+  let digest sets =
+    Digest.to_hex
+      (Digest.string (String.concat ";" (List.map Pid.Set.to_string sets)))
+  in
+  List.iter
+    (fun (jobs, limit, n_sets, complete, explored, hex) ->
+      let name =
+        Printf.sprintf "jobs=%d limit=%s" jobs
+          (if limit = max_int then "none" else string_of_int limit)
+      in
+      let t = Enum.prepare sys in
+      let b = Enum.minimal_blocking_sets ~limit ~jobs t in
+      Alcotest.(check int) (name ^ ": sets") n_sets (List.length b.Enum.sets);
+      Alcotest.(check bool) (name ^ ": complete") complete b.Enum.complete;
+      Alcotest.(check string) (name ^ ": sets digest") hex (digest b.Enum.sets);
+      let st = Enum.stats t in
+      Alcotest.(check (list int))
+        (name ^ ": explored/pruned/found")
+        [ explored; 3812; 519 ]
+        [ st.Enum.explored; st.Enum.pruned; st.Enum.found ])
+    [
+      (1, max_int, 2069, true, 10650, "0356bf0293ad41c1d42d235dfee4969f");
+      (4, max_int, 2069, true, 10650, "0356bf0293ad41c1d42d235dfee4969f");
+      (1, 100, 100, false, 5763, "5270ae6802f0f27721659dbca25fa0a5");
+      (4, 100, 100, false, 5763, "5270ae6802f0f27721659dbca25fa0a5");
+      (1, 2068, 2068, false, 10648, "70f646b7c7167dd1b5d7c5f35bc20bb2");
+    ]
+
 (* ---- the full service payload ------------------------------------------- *)
 
 let test_api_payload_parity () =
@@ -203,5 +248,7 @@ let suites =
           test_deep_parity;
         Alcotest.test_case "service payload parity" `Quick
           test_api_payload_parity;
+        Alcotest.test_case "live fixture blocking sets and stats pinned"
+          `Quick test_live_blocking_pinned;
       ] );
   ]
