@@ -22,11 +22,11 @@ module D = Pid.Dense_set
      (quorums are closed under union), so the test is exact, and the
      branch's candidate pool shrinks to that greatest quorum.
 
-   Found quorums are confirmed minimal on the spot (dropping any single
-   member must leave no quorum), so no superset bookkeeping or global
-   minimisation pass is needed and enumeration streams — which is what
-   makes the quorum-intersection check on a n=200-validator topology
-   answer in well under a second. *)
+   The walk stops at the first quorum on each path and emits it as a
+   candidate; minimality is settled afterwards by subsumption. Every
+   minimal quorum of a searched universe is itself a candidate (its
+   path is never pruned), so a candidate is minimal iff it contains no
+   other candidate: one bitset inclusion test per pair, no fixpoint. *)
 
 type stats = { explored : int; pruned : int; found : int }
 
@@ -39,6 +39,7 @@ type t = {
   mutable pruned : int;
   mutable found : int;
   mutable minimal : Pid.Set.t list option;  (* cache, canonical order *)
+  mutable sccs : D.t list option;  (* cache of [quorum_sccs] *)
   c_explored : Obs.Metrics.counter option;
   c_pruned : Obs.Metrics.counter option;
   c_found : Obs.Metrics.counter option;
@@ -68,6 +69,7 @@ let prepare ?metrics sys =
     pruned = 0;
     found = 0;
     minimal = None;
+    sccs = None;
     c_explored = counter "fbqs_enum_explored";
     c_pruned = counter "fbqs_enum_pruned";
     c_found = counter "fbqs_enum_quorums_found";
@@ -80,36 +82,45 @@ let stats t = { explored = t.explored; pruned = t.pruned; found = t.found }
 
 (* The SCCs of the trust graph restricted to the greatest quorum, kept
    only when they contain a quorum — the contraction step. Returns
-   each component already shrunk to its own greatest quorum. *)
+   each component already shrunk to its own greatest quorum. Computed
+   once per analyzer, with the trust edges read off the compiled dense
+   slices. *)
 let quorum_sccs t =
-  let c = t.compiled in
-  let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set t.parts) in
-  if D.is_empty w then []
-  else begin
-    let g =
-      D.fold
-        (fun i g ->
-          let dom = Slice.domain (Quorum.slices_of t.sys i) in
-          Pid.Set.fold
-            (fun j g -> if D.mem j w then Digraph.add_edge i j g else g)
-            dom
-            (Digraph.add_vertex i g))
-        w Digraph.empty
-    in
-    List.filter_map
-      (fun scc ->
-        let gq = Quorum.Compiled.greatest_quorum_within_d c (D.of_set scc) in
-        if D.is_empty gq then None else Some gq)
-      (Scc.components g)
-  end
+  match t.sccs with
+  | Some sccs -> sccs
+  | None ->
+      let c = t.compiled in
+      let w = Quorum.Compiled.greatest_quorum_within_d c (D.of_set t.parts) in
+      let sccs =
+        if D.is_empty w then []
+        else begin
+          let g =
+            Digraph.of_succs
+              (D.fold
+                 (fun i rows ->
+                   (i, D.to_set (D.inter (Quorum.Compiled.trust_d c i) w))
+                   :: rows)
+                 w [])
+          in
+          List.filter_map
+            (fun scc ->
+              let gq =
+                Quorum.Compiled.greatest_quorum_within_d c (D.of_set scc)
+              in
+              if D.is_empty gq then None else Some gq)
+            (Scc.components g)
+        end
+      in
+      t.sccs <- Some sccs;
+      sccs
 
+(* Ascending cardinality, then set order. Cardinals are computed once
+   per set, not per comparison ([Pid.Set.cardinal] walks the tree). *)
 let canonical sets =
-  List.sort
-    (fun a b ->
-      match Int.compare (Pid.Set.cardinal a) (Pid.Set.cardinal b) with
-      | 0 -> Pid.Set.compare a b
-      | c -> c)
-    sets
+  List.map (fun s -> (Pid.Set.cardinal s, s)) sets
+  |> List.sort (fun (ca, a) (cb, b) ->
+         match Int.compare ca cb with 0 -> Pid.Set.compare a b | c -> c)
+  |> List.map snd
 
 (* ---- parallel sharding ------------------------------------------------ *)
 
@@ -154,17 +165,12 @@ let apply_delta t d =
 
 type mq_node = { selection : D.t; remaining : Pid.t list; available : D.t }
 
-let minimal_quorum c q =
-  D.for_all
-    (fun v -> not (Quorum.Compiled.contains_quorum_d c (D.remove v q)))
-    q
-
-(* The one minimal-quorum walk: depth-first enumeration of the minimal
-   quorums below [node], whose pool is already contracted to a
-   greatest quorum. Candidates branch in ascending pid order, so the
-   emission order — and with it every downstream report — is
-   deterministic. Nodes [frontier] levels down go to [defer] unvisited
-   (the sharding cut); every visited node ticks [ticks]. *)
+(* The one minimal-quorum walk: depth-first enumeration of the
+   candidate quorums below [node], whose pool is already contracted to
+   a greatest quorum. Candidates branch in ascending pid order, so the
+   search tree is deterministic. Nodes [frontier] levels down go to
+   [defer] unvisited (the sharding cut); every visited node ticks
+   [ticks]. *)
 let mq_walk c ~frontier ~defer ~emit ticks node =
   let rec go depth selection remaining available =
     if depth >= frontier then defer { selection; remaining; available }
@@ -172,10 +178,7 @@ let mq_walk c ~frontier ~defer ~emit ticks node =
       ticks.d_explored <- ticks.d_explored + 1;
       if Quorum.Compiled.is_quorum_d c selection then begin
         (* Supersets of a quorum cannot be minimal: stop descending. *)
-        if minimal_quorum c selection then begin
-          ticks.d_found <- ticks.d_found + 1;
-          emit selection
-        end
+        emit selection
       end
       else
         match remaining with
@@ -197,9 +200,23 @@ let mq_walk c ~frontier ~defer ~emit ticks node =
 let mq_run c node =
   let ticks = no_ticks () and acc = ref [] in
   mq_walk c ~frontier:max_int ~defer:ignore
-    ~emit:(fun q -> acc := D.to_set q :: !acc)
+    ~emit:(fun q -> acc := q :: !acc)
     ticks node;
   (!acc, ticks)
+
+(* Candidates are distinct quorums and include every minimal quorum of
+   the searched universes, so a candidate is minimal iff no other
+   candidate lies inside it. Visiting them in ascending cardinality, a
+   candidate's proper sub-candidates come first, and it suffices to
+   test it against the minimal ones kept so far (any candidate inside
+   it contains a kept one). *)
+let keep_minimal candidates =
+  List.map (fun q -> (D.cardinal q, q)) candidates
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.fold_left
+       (fun kept (_, q) ->
+         if List.exists (fun k -> D.subset k q) kept then kept else q :: kept)
+       []
 
 let minimal_quorums ?(jobs = 1) t =
   match t.minimal with
@@ -215,7 +232,7 @@ let minimal_quorums ?(jobs = 1) t =
               mq_walk t.compiled
                 ~frontier:(if sharded then default_frontier_depth else max_int)
                 ~defer:(fun node -> shards := node :: !shards)
-                ~emit:(fun q -> acc := D.to_set q :: !acc)
+                ~emit:(fun q -> acc := q :: !acc)
                 ticks
                 {
                   selection = D.empty;
@@ -230,7 +247,10 @@ let minimal_quorums ?(jobs = 1) t =
                 acc := List.rev_append sets !acc;
                 apply_delta t delta)
               (Simkit.Exec.map ~jobs (mq_run t.compiled) (List.rev !shards));
-          canonical !acc
+          let kept = keep_minimal !acc in
+          apply_delta t
+            { d_explored = 0; d_pruned = 0; d_found = List.length kept };
+          canonical (List.map D.to_set kept)
         end
       in
       t.minimal <- Some result;
@@ -243,12 +263,23 @@ let top_tier ?jobs t =
 
 type intersection = Intersects | Disjoint of Pid.Set.t * Pid.Set.t
 
+(* A quorum outside [q] exists iff one survives inside some quorum SCC
+   (every minimal quorum lies in one), so the fixpoints run over the
+   few SCC members; only a hit pays for the witness partner, the
+   greatest quorum outside [q] among all participants. *)
 let complement_witness t q =
-  let partner =
-    Quorum.Compiled.greatest_quorum_within_d t.compiled
-      (D.diff (D.of_set t.parts) (D.of_set q))
-  in
-  if D.is_empty partner then None else Some (q, D.to_set partner)
+  let c = t.compiled and qd = D.of_set q in
+  if
+    List.exists
+      (fun u -> Quorum.Compiled.contains_quorum_d c (D.diff u qd))
+      (quorum_sccs t)
+  then
+    Some
+      ( q,
+        D.to_set
+          (Quorum.Compiled.greatest_quorum_within_d c
+             (D.diff (D.of_set t.parts) qd)) )
+  else None
 
 let check_intersection ?jobs t =
   if t.fallback then begin

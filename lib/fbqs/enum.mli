@@ -17,10 +17,12 @@
       one [greatest_quorum_within] call: a branch can still yield a
       quorum iff its committed members survive in the greatest quorum
       of its remaining pool (exact, because quorums are closed under
-      union).
+      union);
+    - keep, of the quorums where the search stops, those containing
+      no other (every minimal quorum is among them).
 
     Everything downstream — intersection checking, blocking sets,
-    splitting sets, top tier — is built on that streaming enumeration.
+    splitting sets, top tier — is built on that enumeration.
     All outputs are in a canonical deterministic order (ascending
     cardinality, then {!Pid.Set.compare}), so reports are byte-stable.
 
@@ -80,8 +82,11 @@ val check_intersection : ?jobs:int -> t -> intersection
     minimal quorums are enumerated (parallel with [jobs > 1], and
     cached for later calls) and each is tested for a quorum surviving
     in its complement — any disjoint pair can be shrunk so that one
-    side is minimal, so the scan is exact. The witness is the first
-    such quorum in canonical order, independent of [jobs]. *)
+    side is minimal, so the scan is exact. The test runs inside the
+    quorum SCCs (every minimal quorum lies in one); the witness is the
+    first such quorum in canonical order, paired with the greatest
+    quorum of its complement among all participants, independent of
+    [jobs]. *)
 
 val quorum_intersection :
   ?metrics:Obs.Metrics.t -> ?jobs:int -> Quorum.system -> intersection

@@ -194,6 +194,16 @@ module Compiled = struct
   let contains_quorum_d c set =
     not (D.is_empty (greatest_quorum_within_d c set))
 
+  let trust_d c i =
+    require_dense c "trust_d";
+    if i < 0 || i >= c.bound then D.empty
+    else
+      match c.entries.(i) with
+      | Absent -> D.empty
+      | Explicit_d slices -> Array.fold_left D.union D.empty slices
+      | Threshold_d { sat; cls; _ } ->
+          if sat then c.class_sets.(cls) else D.empty
+
   let greatest_quorum_within c set =
     (* Discard members with no slice inside the current candidate until
        a fixpoint. Since the union of two quorums is a quorum, the

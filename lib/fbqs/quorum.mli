@@ -78,6 +78,11 @@ module Compiled : sig
 
   val contains_quorum_d : t -> Pid.Dense_set.t -> bool
 
+  val trust_d : t -> Pid.t -> Pid.Dense_set.t
+  (** The union of [i]'s slices ({!Slice.domain}), from the compiled
+      entry: the pids [i] trusts, i.e. its trust-graph successors.
+      Empty for pids outside the system. *)
+
   type stats = {
     queries : int;  (** membership evaluations answered so far *)
     popcounts : int;  (** dense intersection-cardinality calls *)

@@ -46,13 +46,48 @@ let remove_vertices vs g =
     in
     { succ = drop g.succ; pred = drop g.pred }
 
-let of_edges es = List.fold_left (fun g (i, j) -> add_edge i j g) empty es
+(* Index of [j] in the ascending vertex array [verts.(lo..hi-1)]. *)
+let rec vertex_index verts j lo hi =
+  let mid = (lo + hi) / 2 in
+  match Int.compare verts.(mid) j with
+  | 0 -> mid
+  | c when c < 0 -> vertex_index verts j (mid + 1) hi
+  | _ -> vertex_index verts j lo mid
+
+let of_succs rows =
+  let succ =
+    List.fold_left
+      (fun m (i, s) ->
+        Pid.Map.update i
+          (function None -> Some s | Some s' -> Some (Pid.Set.union s s'))
+          m)
+      Pid.Map.empty rows
+  in
+  let succ = Pid.Map.fold (fun _ s m -> Pid.Set.fold touch s m) succ succ in
+  (* One transposition pass: sources in descending order, so every
+     predecessor bucket fills in ascending order. *)
+  let verts = Array.of_seq (Seq.map fst (Pid.Map.to_seq succ)) in
+  let n = Array.length verts in
+  let buckets = Array.make n [] in
+  Seq.iter
+    (fun (i, s) ->
+      Pid.Set.iter
+        (fun j ->
+          let k = vertex_index verts j 0 n in
+          buckets.(k) <- i :: buckets.(k))
+        s)
+    (Pid.Map.to_rev_seq succ);
+  let pred = ref Pid.Map.empty in
+  Array.iteri
+    (fun k i -> pred := Pid.Map.add i (Pid.Set.of_list buckets.(k)) !pred)
+    verts;
+  { succ; pred = !pred }
+
+let of_edges es =
+  of_succs (List.map (fun (i, j) -> (i, Pid.Set.singleton j)) es)
 
 let of_adjacency adj =
-  List.fold_left
-    (fun g (i, js) ->
-      List.fold_left (fun g j -> add_edge i j g) (add_vertex i g) js)
-    empty adj
+  of_succs (List.map (fun (i, js) -> (i, Pid.Set.of_list js)) adj)
 
 let edges g =
   Pid.Map.fold

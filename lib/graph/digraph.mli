@@ -29,6 +29,13 @@ val of_adjacency : (Pid.t * Pid.t list) list -> t
 (** [of_adjacency [(i, succs); ...]] builds the graph in which each [i]
     has exactly the listed successors. *)
 
+val of_succs : (Pid.t * Pid.Set.t) list -> t
+(** [of_succs [(i, s); ...]] is the graph with an edge [i → j] for every
+    [j ∈ s], every [i] and every such [j] a vertex — the graph that
+    [add_vertex]/[add_edge] build edge by edge, in one bulk pass (map
+    insertions per row and per vertex, not two per edge). A repeated
+    [i] gets the union of its rows. *)
+
 val vertices : t -> Pid.Set.t
 
 val n_vertices : t -> int

@@ -263,7 +263,10 @@ module Dense_set = struct
           s;
         r
 
-  let to_set t = fold (fun i acc -> Set.add i acc) t Set.empty
+  (* [Set.of_list] builds the tree bottom-up from the sorted
+     [elements], about twice as fast as one rebalancing [Set.add] per
+     element. *)
+  let to_set t = Set.of_list (elements t)
 
   let min_elt_opt t =
     if is_empty t then None

@@ -64,6 +64,34 @@ let prop_preds_succs_agree =
             (Digraph.succs g i))
         (Digraph.vertices g))
 
+(* Rows may repeat a vertex, name successors without a row of their
+   own, and use negative pids. *)
+let arb_rows =
+  QCheck.make
+    ~print:(fun rows ->
+      String.concat "; "
+        (List.map
+           (fun (i, s) -> Printf.sprintf "%d -> %s" i (Pid.Set.to_string s))
+           rows))
+    QCheck.Gen.(
+      list_size (int_bound 12)
+        (pair (int_range (-3) 8)
+           (map Pid.Set.of_list (list_size (int_bound 6) (int_range (-3) 8)))))
+
+let prop_of_succs_is_add_edge =
+  QCheck.Test.make ~count:300 ~name:"of_succs = add_vertex/add_edge fold"
+    arb_rows (fun rows ->
+      let slow =
+        List.fold_left
+          (fun g (i, s) ->
+            Pid.Set.fold (fun j g -> Digraph.add_edge i j g) s
+              (Digraph.add_vertex i g))
+          Digraph.empty rows
+      in
+      let fast = Digraph.of_succs rows in
+      Digraph.equal fast slow
+      && Digraph.equal (Digraph.transpose fast) (Digraph.transpose slow))
+
 let suites =
   [
     ( "digraph",
@@ -76,5 +104,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_transpose_involutive;
         QCheck_alcotest.to_alcotest prop_transpose_preserves_edges;
         QCheck_alcotest.to_alcotest prop_preds_succs_agree;
+        QCheck_alcotest.to_alcotest prop_of_succs_is_add_edge;
       ] );
   ]

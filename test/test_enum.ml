@@ -116,6 +116,33 @@ let test_stats_move () =
   Alcotest.(check bool) "explored > 0" true (s.Enum.explored > 0);
   Alcotest.(check int) "found = minimal quorum count" 4 s.Enum.found
 
+let test_nonminimal_candidate_first () =
+  (* One trust SCC {1,2,3}. The ascending-pid walk includes 1, 2, 3
+     and stops at the quorum {1,2,3} before its exclude-2 branch
+     reaches the minimal quorum {1,3}: the non-minimal candidate comes
+     first and must be dropped. *)
+  let sys =
+    Quorum.system_of_list
+      [
+        (1, Slice.explicit [ set [ 1; 3 ]; set [ 1; 2 ] ]);
+        (2, Slice.explicit [ set [ 1; 2; 3 ] ]);
+        (3, Slice.explicit [ set [ 1; 3 ] ]);
+      ]
+  in
+  let reference = canonical (Quorum.minimal_quorums sys) in
+  Alcotest.check pid_sets "reference" [ set [ 1; 3 ] ] reference;
+  List.iter
+    (fun jobs ->
+      let t = Enum.prepare sys in
+      Alcotest.check pid_sets
+        (Printf.sprintf "jobs=%d: minimal quorums = Gosper" jobs)
+        reference
+        (Enum.minimal_quorums ~jobs t);
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: stats.found" jobs)
+        (List.length reference) (Enum.stats t).Enum.found)
+    [ 1; 4 ]
+
 (* ---- fixture provenance ------------------------------------------------ *)
 
 let read_file path =
@@ -205,6 +232,123 @@ let prop_intersection_equiv =
       in
       bb = Dset.quorum_intersection_despite_baseline sys Pid.Set.empty)
 
+(* The Disjoint witness rule, restated on the Pid.Set primitives.
+   Quorum SCCs: the SCCs of the trust graph (edges from
+   [Slice.domain]) restricted to the greatest quorum, each shrunk to
+   its greatest quorum, in [Scc.components] order. A prepared analyzer
+   with nothing cached answers from two or more of them at once;
+   otherwise — and always once minimal quorums are cached — the witness
+   is the first minimal quorum in canonical order whose complement
+   holds a quorum, paired with the greatest quorum of that
+   complement. *)
+let reference_quorum_sccs sys =
+  let w = Quorum.greatest_quorum_within sys (Quorum.participants sys) in
+  let g =
+    Pid.Set.fold
+      (fun i g ->
+        Pid.Set.fold
+          (fun j g -> if Pid.Set.mem j w then Digraph.add_edge i j g else g)
+          (Slice.domain (Quorum.slices_of sys i))
+          (Digraph.add_vertex i g))
+      w Digraph.empty
+  in
+  List.filter_map
+    (fun scc ->
+      let gq = Quorum.greatest_quorum_within sys scc in
+      if Pid.Set.is_empty gq then None else Some gq)
+    (Scc.components g)
+
+let reference_cached sys =
+  let parts = Quorum.participants sys in
+  match
+    List.find_map
+      (fun q ->
+        let partner =
+          Quorum.greatest_quorum_within sys (Pid.Set.diff parts q)
+        in
+        if Pid.Set.is_empty partner then None else Some (q, partner))
+      (canonical (Quorum.minimal_quorums sys))
+  with
+  | Some (q, q') -> Enum.Disjoint (q, q')
+  | None -> Enum.Intersects
+
+let reference_uncached sys =
+  match reference_quorum_sccs sys with
+  | s1 :: s2 :: _ -> Enum.Disjoint (s1, s2)
+  | _ -> reference_cached sys
+
+let intersection_equal a b =
+  match (a, b) with
+  | Enum.Intersects, Enum.Intersects -> true
+  | Enum.Disjoint (a1, a2), Enum.Disjoint (b1, b2) ->
+      Pid.Set.equal a1 b1 && Pid.Set.equal a2 b2
+  | _ -> false
+
+(* Two random parts glued into one system: every node of the first
+   ({1..a}) and of the second ({a+1..a+b}) also gets its whole part as
+   a slice, so each part is a quorum-bearing SCC; nodes of the first
+   trust into the second through one extra mixed slice. With [back],
+   one node of the second trusts back into the first as well, merging
+   the parts into a single SCC that holds disjoint quorums. Two leaves,
+   trusted by nobody, lean on one node of each part: they sit in no
+   quorum SCC but do join the greatest quorum of a complement. *)
+let two_part_system seed a b back =
+  let first = Pid.Set.of_range 1 a in
+  let second = Pid.Set.of_range (a + 1) (a + b) in
+  let explicit sys i =
+    match Quorum.slices_of sys i with
+    | Slice.Explicit slices -> slices
+    | Slice.Threshold _ -> []
+  in
+  let lower = random_system seed a and upper = random_system (seed + 1) b in
+  let node i =
+    if i <= a then
+      let cross = Pid.Set.of_list [ i; a + 1 + ((seed + i) mod b) ] in
+      (i, Slice.explicit (explicit lower i @ [ first; cross ]))
+    else
+      let own =
+        List.map (Pid.Set.map (fun j -> j + a)) (explicit upper (i - a))
+      in
+      let back =
+        if back && i = a + b then [ Pid.Set.of_list [ 1; i ] ] else []
+      in
+      (i, Slice.explicit (own @ (second :: back)))
+  in
+  let leaf l anchor = (l, Slice.explicit [ Pid.Set.of_list [ anchor; l ] ]) in
+  Quorum.system_of_list
+    (List.init (a + b) (fun i -> node (i + 1))
+    @ [ leaf (a + b + 1) 1; leaf (a + b + 2) (a + 1) ])
+
+let two_part_arb =
+  QCheck.(
+    map
+      (fun (seed, (a, b), back) ->
+        (seed, a, b, back, two_part_system seed a b back))
+      (triple (int_range 0 100000) (pair (int_range 1 4) (int_range 1 4)) bool))
+  |> QCheck.set_print (fun (seed, a, b, back, _) ->
+         Printf.sprintf "seed=%d a=%d b=%d back=%b" seed a b back)
+
+let witness_pinned sys =
+  let cached = Enum.prepare sys in
+  ignore (Enum.minimal_quorums cached);
+  intersection_equal (Enum.check_intersection cached) (reference_cached sys)
+  && intersection_equal
+       (Enum.check_intersection (Enum.prepare sys))
+       (reference_uncached sys)
+
+let prop_witness_random =
+  QCheck.Test.make ~count:300 ~name:"Disjoint witness = reference, random"
+    sys_arb (fun (_, _, sys) -> witness_pinned sys)
+
+let prop_witness_two_parts =
+  QCheck.Test.make ~count:200
+    ~name:"Disjoint witness = reference, two quorum SCCs" two_part_arb
+    (fun (_, _, _, back, sys) ->
+      (* Without [back] the parts must stay two quorum SCCs, so the
+         short-circuit and the cross-SCC complement test both run. *)
+      (back || List.length (reference_quorum_sccs sys) >= 2)
+      && witness_pinned sys)
+
 let prop_despite_equiv =
   QCheck.Test.make ~count:200 ~name:"intersection despite = baseline"
     QCheck.(pair sys_arb (int_range 0 127))
@@ -292,12 +436,16 @@ let suites =
         Alcotest.test_case "fig2 with Algorithm 2 slices" `Quick
           test_fig2_algorithm2;
         Alcotest.test_case "search stats" `Quick test_stats_move;
+        Alcotest.test_case "non-minimal candidate reached first" `Quick
+          test_nonminimal_candidate_first;
         Alcotest.test_case "fixture provenance" `Quick
           test_fixture_provenance;
         Alcotest.test_case "fixture full-scale analysis" `Quick
           test_fixture_analysis;
         QCheck_alcotest.to_alcotest prop_minimal_quorums_equiv;
         QCheck_alcotest.to_alcotest prop_intersection_equiv;
+        QCheck_alcotest.to_alcotest prop_witness_random;
+        QCheck_alcotest.to_alcotest prop_witness_two_parts;
         QCheck_alcotest.to_alcotest prop_despite_equiv;
         QCheck_alcotest.to_alcotest prop_blocking_equiv;
         QCheck_alcotest.to_alcotest prop_splitting_equiv;

@@ -126,6 +126,58 @@ let prop_wrappers_agree_with_compiled =
              = Quorum.Compiled.is_quorum_of c i probe)
            (Quorum.participants sys))
 
+(* Systems over pids 0..n-1 mixing every slice shape the dense trust
+   domain has to get right: no slices, one empty slice, explicit lists
+   (empty members allowed), and thresholds from 0 up past the member
+   count. *)
+let gen_mixed_system =
+  QCheck.Gen.(
+    let* n = int_range 0 7 in
+    let subset =
+      let* bits = int_bound ((1 lsl n) - 1) in
+      let members = List.init n Fun.id in
+      return
+        (Pid.Set.of_list
+           (List.filter (fun i -> bits land (1 lsl i) <> 0) members))
+    in
+    let slice =
+      let* kind = int_bound 3 in
+      match kind with
+      | 0 -> return (Slice.explicit [])
+      | 1 -> return (Slice.explicit [ Pid.Set.empty ])
+      | 2 ->
+          let* k = int_range 1 3 in
+          let* slices = list_repeat k subset in
+          return (Slice.explicit slices)
+      | _ ->
+          let* members = subset in
+          let* threshold = int_range 0 (Pid.Set.cardinal members + 2) in
+          return (Slice.threshold ~members ~threshold)
+    in
+    let* slices = list_repeat n slice in
+    return (Quorum.system_of_list (List.mapi (fun i s -> (i, s)) slices)))
+
+let arb_mixed_system =
+  QCheck.make
+    ~print:(fun sys ->
+      String.concat "; "
+        (List.map
+           (fun (i, s) -> Format.asprintf "%d: %a" i Slice.pp s)
+           (Pid.Map.bindings sys)))
+    gen_mixed_system
+
+let prop_trust_d_is_domain =
+  QCheck.Test.make ~count:300 ~name:"trust_d = Slice.domain, every pid"
+    arb_mixed_system (fun sys ->
+      let c = Quorum.Compiled.compile sys in
+      let n = Pid.Map.cardinal sys in
+      List.for_all
+        (fun i ->
+          Pid.Dense_set.equal
+            (Quorum.Compiled.trust_d c i)
+            (Pid.Dense_set.of_set (Slice.domain (Quorum.slices_of sys i))))
+        (List.init (n + 3) (fun i -> i - 1)))
+
 let suites =
   [
     ( "quorum_compiled",
@@ -136,5 +188,6 @@ let suites =
         Alcotest.test_case "wrapper cache accounting" `Quick
           test_wrapper_cache_stats_move;
         QCheck_alcotest.to_alcotest prop_wrappers_agree_with_compiled;
+        QCheck_alcotest.to_alcotest prop_trust_d_is_domain;
       ] );
   ]
